@@ -35,9 +35,13 @@ LIMITS = [1_000, 10_000, 100_000]
 FLOOR_RATIO = 3.0
 
 #: The compiled kernel's own floor, asserted only when the extension is
-#: importable (CI's ``compiled`` job; tier-1 stays pure-python).  Seeded
-#: at 6.0x per the 10x single-core target's first compiled milestone.
-COMPILED_FLOOR_RATIO = 6.0
+#: importable (CI's ``compiled`` job; tier-1 stays pure-python).  Ratchet:
+#: at most a third of the slowest compiled/reference ratio in the
+#: committed ``BENCH_search.json``, queue-length rows included.  History:
+#: 6.0x (first compiled milestone) → 20.0x (packed profile segments and
+#: copy-on-chain; slowest measured 66.0x, DDS/lxf at L=10K with 120 jobs,
+#: 2-vCPU x86-64).
+COMPILED_FLOOR_RATIO = 20.0
 
 
 @pytest.mark.parametrize("algorithm,heuristic", POLICIES)

@@ -32,13 +32,19 @@
  * the runtime sanitizer (needs per-mutation Python checks), and the
  * shard blackboard (poll/publish callbacks).
  *
- * One structural liberty, invisible in results: where _chain2 brackets
- * a batch with checkpoint()/rollback() (array snapshot, no undo
- * frames), this kernel pushes ordinary undo frames and pops them —
- * both restore the profile exactly, and the in-between states are
- * never observed.  place()'s skip-ahead also omits place_run's
- * suffix-min frontier, a pure scan shortcut over segments the plain
- * walk rejects anyway.
+ * One structural liberty, invisible in results: the profile is one
+ * packed array of {t, f} segments, and a heuristic-completion chain
+ * (_chain2, _chain2_slow) runs on a scratch copy of it.  Where _chain2
+ * brackets its batch with checkpoint()/rollback(), this kernel copies
+ * the live segments into a buffer allocated once per search, places the
+ * chain there without undo frames, and drops the copy after the leaf
+ * (or a prune or budget stop) by pointing back at the live array.  The
+ * chain's last placement only computes its start time, since nothing
+ * reads the profile after it.  The DFS levels above a chain still place
+ * and unplace the live array with undo frames.  Every path restores the
+ * profile exactly, and the discarded states are never observed.
+ * place()'s skip-ahead also omits place_run's suffix-min frontier, a
+ * pure scan shortcut over segments the plain walk rejects anyway.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -50,6 +56,13 @@
 #define CK_OK 0
 #define CK_STOP 1 /* _StopSearch */
 #define CK_ERR (-1)
+
+/* One availability segment: f nodes free from time t up to the next
+ * segment's t (the last segment runs on forever). */
+typedef struct {
+    double t;
+    long f;
+} Seg;
 
 typedef struct {
     Py_ssize_t si;
@@ -67,9 +80,11 @@ typedef struct {
 } AnyRec;
 
 typedef struct {
-    /* profile: parallel breakpoint arrays, live length m */
-    double *t;
-    long *f;
+    /* profile: packed segments, length m.  seg is the array placements
+     * work on: live in the DFS, scratch inside a heuristic chain. */
+    Seg *seg;
+    Seg *live;
+    Seg *scratch;
     Py_ssize_t m;
     long capacity;
     double eps;
@@ -121,100 +136,120 @@ typedef struct {
 } Search;
 
 /* ------------------------------------------------------------------ */
-/* SearchProfile.place: earliest-fit scan + breakpoint commit + undo   */
-/* push.  Straight transcription of profile.py (earliest == s->now    */
-/* on every search call site).                                         */
+/* SearchProfile.place, split in two: the earliest-fit scan (ck_fit)   */
+/* and the breakpoint commit (ck_commit).  Straight transcription of   */
+/* profile.py (earliest == s->now on every search call site).          */
 /* ------------------------------------------------------------------ */
-static double
-ck_place(Search *s, long nodes, double duration)
+
+/* The earliest start of a nodes x duration job; *at receives the
+ * segment it starts in (seg[*at].t <= start < seg[*at + 1].t) and *past
+ * the first segment after it that starts at or beyond end - eps. */
+static inline double
+ck_fit(const Search *s, long nodes, double duration, Py_ssize_t *at,
+       Py_ssize_t *past)
 {
-    double *t = s->t;
-    long *f = s->f;
-    Py_ssize_t m = s->m;
+    const Seg *seg = s->seg;
+    const Py_ssize_t m = s->m;
     const double eps = s->eps;
 
-    double cand = s->now > t[0] ? s->now : t[0];
+    double cand = s->now > seg[0].t ? s->now : seg[0].t;
     Py_ssize_t i = 0;
     Py_ssize_t ni = 1;
-    while (ni < m && t[ni] <= cand) {
+    while (ni < m && seg[ni].t <= cand) {
         i = ni;
         ni++;
     }
-    double end;
     for (;;) {
-        if (f[i] < nodes) {
+        if (seg[i].f < nodes) {
             /* Skip ahead; the final segment always has capacity free. */
             i++;
-            while (f[i] < nodes)
+            while (seg[i].f < nodes)
                 i++;
-            cand = t[i];
+            cand = seg[i].t;
         }
-        end = cand + duration;
-        double end_eps = end - eps;
+        double end_eps = (cand + duration) - eps;
         Py_ssize_t j = i + 1;
         Py_ssize_t blocked = 0;
-        while (j < m && t[j] < end_eps) {
-            if (f[j] < nodes) {
+        while (j < m && seg[j].t < end_eps) {
+            if (seg[j].f < nodes) {
                 blocked = j;
                 break;
             }
             j++;
         }
-        if (!blocked)
+        if (!blocked) {
+            *past = j;
             break;
+        }
         i = blocked;
-        cand = t[blocked];
+        cand = seg[blocked].t;
     }
-    double start = cand;
+    *at = i;
+    return cand;
+}
 
-    /* start breakpoint (t[i] <= start < t[i+1] by the scan) */
+/* Occupy nodes over [start, start + duration) for the start, *at and
+ * *past ck_fit found, on exactly the segments ck_fit checked; *u
+ * receives what ck_unplace needs to undo it. */
+static inline void
+ck_commit(Search *s, Py_ssize_t i, Py_ssize_t past, double start, long nodes,
+          double duration, UndoFrame *u)
+{
+    Seg *seg = s->seg;
+    Py_ssize_t m = s->m;
+    const double eps = s->eps;
+    const double end = start + duration;
+
+    /* start breakpoint (seg[i].t <= start < seg[i+1].t by the scan) */
     Py_ssize_t si;
     int created_start;
-    if (start - t[i] <= eps) {
+    if (start - seg[i].t <= eps) {
         si = i;
         created_start = 0;
     }
     else {
         si = i + 1;
-        memmove(t + si + 1, t + si, (size_t)(m - si) * sizeof(double));
-        memmove(f + si + 1, f + si, (size_t)(m - si) * sizeof(long));
-        t[si] = start;
-        f[si] = f[i];
+        memmove(seg + si + 1, seg + si, (size_t)(m - si) * sizeof(Seg));
+        seg[si].t = start;
+        seg[si].f = seg[i].f;
         created_start = 1;
         m++;
     }
 
-    /* end breakpoint: continue the walk from the start slot */
-    Py_ssize_t j = si + 1;
-    while (j < m && t[j] <= end)
-        j++;
-    j--;
-    Py_ssize_t ej;
+    /* end breakpoint: the claim covers exactly the segments ck_fit
+     * checked; the first one it left closes the claim if it starts by
+     * end, else a breakpoint is inserted at end */
+    const Py_ssize_t ej = past + created_start;
     int created_end;
-    if (end - t[j] <= eps) {
-        ej = j;
+    if (ej < m && seg[ej].t <= end) {
         created_end = 0;
     }
     else {
-        ej = j + 1;
-        memmove(t + ej + 1, t + ej, (size_t)(m - ej) * sizeof(double));
-        memmove(f + ej + 1, f + ej, (size_t)(m - ej) * sizeof(long));
-        t[ej] = end;
-        f[ej] = f[j];
+        memmove(seg + ej + 1, seg + ej, (size_t)(m - ej) * sizeof(Seg));
+        seg[ej].t = end;
+        seg[ej].f = seg[ej - 1].f;
         created_end = 1;
         m++;
     }
 
     for (Py_ssize_t k = si; k < ej; k++)
-        f[k] -= nodes;
+        seg[k].f -= nodes;
     s->m = m;
 
-    UndoFrame *u = &s->undo[s->undo_n++];
     u->si = si;
     u->ej = ej;
     u->nodes = nodes;
     u->created_start = created_start;
     u->created_end = created_end;
+}
+
+/* A DFS-level placement on the live profile, undone by ck_unplace. */
+static double
+ck_place(Search *s, long nodes, double duration)
+{
+    Py_ssize_t at, past;
+    double start = ck_fit(s, nodes, duration, &at, &past);
+    ck_commit(s, at, past, start, nodes, duration, &s->undo[s->undo_n++]);
     return start;
 }
 
@@ -222,23 +257,18 @@ static void
 ck_unplace(Search *s)
 {
     UndoFrame *u = &s->undo[--s->undo_n];
-    double *t = s->t;
-    long *f = s->f;
+    Seg *seg = s->seg;
     for (Py_ssize_t k = u->si; k < u->ej; k++)
-        f[k] += u->nodes;
+        seg[k].f += u->nodes;
     /* Delete the end breakpoint first so the start position stays valid. */
     if (u->created_end) {
-        memmove(t + u->ej, t + u->ej + 1,
-                (size_t)(s->m - u->ej - 1) * sizeof(double));
-        memmove(f + u->ej, f + u->ej + 1,
-                (size_t)(s->m - u->ej - 1) * sizeof(long));
+        memmove(seg + u->ej, seg + u->ej + 1,
+                (size_t)(s->m - u->ej - 1) * sizeof(Seg));
         s->m--;
     }
     if (u->created_start) {
-        memmove(t + u->si, t + u->si + 1,
-                (size_t)(s->m - u->si - 1) * sizeof(double));
-        memmove(f + u->si, f + u->si + 1,
-                (size_t)(s->m - u->si - 1) * sizeof(long));
+        memmove(seg + u->si, seg + u->si + 1,
+                (size_t)(s->m - u->si - 1) * sizeof(Seg));
         s->m--;
     }
 }
@@ -323,21 +353,51 @@ ck_prune_child2(Search *s, double exc, double slow, Py_ssize_t left)
 /* ------------------------------------------------------------------ */
 /* Heuristic-completion chains (_chain2 / _chain2_slow)                */
 /* ------------------------------------------------------------------ */
+
+/* Start a chain of m placements on a scratch copy of the profile, so
+ * its placements need no undo.  The copy is skipped when m < 2: the
+ * chain's last placement is a probe that commits nothing.  Returns the
+ * live length for ck_chain_leave. */
+static inline Py_ssize_t
+ck_chain_enter(Search *s, Py_ssize_t m)
+{
+    if (m > 1) {
+        memcpy(s->scratch, s->live, (size_t)s->m * sizeof(Seg));
+        s->seg = s->scratch;
+    }
+    return s->m;
+}
+
+/* Drop the chain's copy: the live profile was never touched. */
+static inline void
+ck_chain_leave(Search *s, Py_ssize_t live_m)
+{
+    s->seg = s->live;
+    s->m = live_m;
+}
+
 static int
 ck_chain2_slow(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
 {
     Py_ssize_t i = s->head;
     Py_ssize_t p = d;
     const Py_ssize_t end = d + m;
+    const Py_ssize_t live_m = ck_chain_enter(s, m);
+    UndoFrame dropped;
     int rc = CK_OK;
     while (p < end) {
         if (ck_check_budget(s)) {
             rc = CK_STOP;
-            goto unwind;
+            goto leave;
         }
         i = s->nxt[i];
         s->nodes_visited++;
-        double start = ck_place(s, s->jnodes[i], s->rt[i]);
+        long nodes = s->jnodes[i];
+        double duration = s->rt[i];
+        Py_ssize_t at, past;
+        double start = ck_fit(s, nodes, duration, &at, &past);
+        if (p + 1 < end)
+            ck_commit(s, at, past, start, nodes, duration, &dropped);
         s->path_i[p] = i;
         s->path_s[p] = start;
         double wait = start - s->submit[i];
@@ -348,12 +408,11 @@ ck_chain2_slow(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
         slow += (wait + den) / den;
         p++;
         if (s->prune && ck_prune_child2(s, exc, slow, end - p))
-            goto unwind; /* pruned mid-chain: plain return in Python */
+            goto leave; /* pruned mid-chain: plain return in Python */
     }
     rc = ck_leaf2(s, exc, slow, end);
-unwind:
-    for (Py_ssize_t q = d; q < p; q++)
-        ck_unplace(s);
+leave:
+    ck_chain_leave(s, live_m);
     return rc;
 }
 
@@ -383,9 +442,17 @@ ck_chain2(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
         s->path_i[p] = i;
     }
     s->nodes_visited += m;
-    for (Py_ssize_t p = d; p < d + m; p++) {
+    const Py_ssize_t last = d + m - 1;
+    const Py_ssize_t live_m = ck_chain_enter(s, m);
+    UndoFrame dropped;
+    for (Py_ssize_t p = d; p <= last; p++) {
         Py_ssize_t idx = s->path_i[p];
-        double start = ck_place(s, s->jnodes[idx], s->rt[idx]);
+        long nodes = s->jnodes[idx];
+        double duration = s->rt[idx];
+        Py_ssize_t at, past;
+        double start = ck_fit(s, nodes, duration, &at, &past);
+        if (p < last)
+            ck_commit(s, at, past, start, nodes, duration, &dropped);
         s->path_s[p] = start;
         double wait = start - s->submit[idx];
         double e = wait - s->omega;
@@ -394,10 +461,8 @@ ck_chain2(Search *s, Py_ssize_t m, double exc, double slow, Py_ssize_t d)
         double den = s->denom[idx];
         slow += (wait + den) / den;
     }
-    int rc = ck_leaf2(s, exc, slow, d + m);
-    for (Py_ssize_t q = 0; q < m; q++)
-        ck_unplace(s);
-    return rc;
+    ck_chain_leave(s, live_m);
+    return ck_leaf2(s, exc, slow, d + m);
 }
 
 /* ------------------------------------------------------------------ */
@@ -626,8 +691,8 @@ ck_run_shard(Search *s, Py_ssize_t iteration, const Py_ssize_t *path,
 static void
 ck_free(Search *s)
 {
-    free(s->t);
-    free(s->f);
+    free(s->live);
+    free(s->scratch);
     free(s->undo);
     free(s->submit);
     free(s->rt);
@@ -693,33 +758,29 @@ ck_init(Search *s, int lds, long long node_limit, int prune,
         PyErr_SetString(PyExc_TypeError, "profile/job arrays must be lists");
         return -1;
     }
-    Py_ssize_t m0 = 0, mf = 0, n = 0, tmp = 0;
-    double *t0 = ck_doubles_from(times, &m0);
-    long *f0 = t0 ? ck_longs_from(frees, &mf) : NULL;
-    double *sub = f0 ? ck_doubles_from(submit, &n) : NULL;
-    long *jn = sub ? ck_longs_from(jnodes, &tmp) : NULL;
-    double *rt = jn ? ck_doubles_from(runtime, &tmp) : NULL;
-    double *den = rt ? ck_doubles_from(denom, &tmp) : NULL;
-    if (den == NULL) {
-        free(t0);
-        free(f0);
-        free(sub);
-        free(jn);
-        free(rt);
+    Py_ssize_t n = 0, tmp = 0;
+    s->submit = ck_doubles_from(submit, &n);
+    s->jnodes = s->submit ? ck_longs_from(jnodes, &tmp) : NULL;
+    s->rt = s->jnodes ? ck_doubles_from(runtime, &tmp) : NULL;
+    s->denom = s->rt ? ck_doubles_from(denom, &tmp) : NULL;
+    if (s->denom == NULL) {
+        ck_free(s);
         if (!PyErr_Occurred())
             PyErr_NoMemory();
         return -1;
     }
-    if (m0 == 0 || m0 != mf || PyList_GET_SIZE(jnodes) != n
-        || PyList_GET_SIZE(runtime) != n || PyList_GET_SIZE(denom) != n) {
-        free(t0); free(f0); free(sub); free(jn); free(rt); free(den);
+    Py_ssize_t m0 = PyList_GET_SIZE(times);
+    if (m0 == 0 || PyList_GET_SIZE(frees) != m0
+        || PyList_GET_SIZE(jnodes) != n || PyList_GET_SIZE(runtime) != n
+        || PyList_GET_SIZE(denom) != n) {
+        ck_free(s);
         PyErr_SetString(PyExc_ValueError, "malformed profile/job arrays");
         return -1;
     }
     /* Each of the <= n outstanding placements inserts <= 2 breakpoints. */
     Py_ssize_t cap_m = m0 + 2 * n + 8;
-    s->t = malloc((size_t)cap_m * sizeof(double));
-    s->f = malloc((size_t)cap_m * sizeof(long));
+    s->live = malloc((size_t)cap_m * sizeof(Seg));
+    s->scratch = malloc((size_t)cap_m * sizeof(Seg));
     s->undo = malloc((size_t)(n + 8) * sizeof(UndoFrame));
     s->nxt = malloc((size_t)(n + 1) * sizeof(Py_ssize_t));
     s->prv = malloc((size_t)(n + 1) * sizeof(Py_ssize_t));
@@ -727,22 +788,27 @@ ck_init(Search *s, int lds, long long node_limit, int prune,
     s->path_s = malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
     s->best_i = malloc((size_t)(n > 0 ? n : 1) * sizeof(Py_ssize_t));
     s->best_s = malloc((size_t)(n > 0 ? n : 1) * sizeof(double));
-    if (!s->t || !s->f || !s->undo || !s->nxt || !s->prv || !s->path_i
-        || !s->path_s || !s->best_i || !s->best_s) {
-        free(t0); free(f0); free(sub); free(jn); free(rt); free(den);
+    if (!s->live || !s->scratch || !s->undo || !s->nxt || !s->prv
+        || !s->path_i || !s->path_s || !s->best_i || !s->best_s) {
         ck_free(s);
         PyErr_NoMemory();
         return -1;
     }
-    memcpy(s->t, t0, (size_t)m0 * sizeof(double));
-    memcpy(s->f, f0, (size_t)m0 * sizeof(long));
-    free(t0);
-    free(f0);
+    for (Py_ssize_t k = 0; k < m0; k++) {
+        Seg *g = &s->live[k];
+        g->t = PyFloat_AsDouble(PyList_GET_ITEM(times, k));
+        if (g->t == -1.0 && PyErr_Occurred()) {
+            ck_free(s);
+            return -1;
+        }
+        g->f = PyLong_AsLong(PyList_GET_ITEM(frees, k));
+        if (g->f == -1 && PyErr_Occurred()) {
+            ck_free(s);
+            return -1;
+        }
+    }
+    s->seg = s->live;
     s->m = m0;
-    s->submit = sub;
-    s->jnodes = jn;
-    s->rt = rt;
-    s->denom = den;
     s->n = n;
     s->head = n;
     /* _nxt = [1..n, 0], _prv = [n, 0..n-1]: jobs threaded in heuristic

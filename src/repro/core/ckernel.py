@@ -100,10 +100,26 @@ def _kernel_eligible(problem: "SearchProblem", time_limit_seconds: float | None)
 
 
 def _job_arrays(problem: "SearchProblem") -> JobArrays:
-    from repro.core.search import resolve_runtimes
+    runtimes = problem.runtimes
+    if runtimes is None:
+        from repro.core.search import resolve_runtimes
 
-    rt = resolve_runtimes(problem)
-    return JobArrays.build(problem.jobs, rt, problem.objective.slowdown_floor)
+        runtimes = resolve_runtimes(problem)
+    try:
+        return JobArrays.build(
+            problem.jobs, runtimes, problem.objective.slowdown_floor
+        )
+    except KeyError:
+        missing = sorted(
+            {j.job_id for j in problem.jobs if j.job_id not in runtimes}
+        )
+        raise ValueError(f"runtimes missing for jobs {missing}") from None
+
+
+def _as_list(seq: Any) -> list[Any]:
+    """``seq`` itself when it is already a list (the kernel copies it
+    before searching), else a list copy."""
+    return seq if isinstance(seq, list) else list(seq)
 
 
 def _anytime_scores(
@@ -172,8 +188,8 @@ class _CompiledSearchRun:
             1 if self.record_anytime else 0,
             problem.profile.capacity,
             TIME_EPS,
-            list(problem.profile.times),
-            list(problem.profile.free),
+            _as_list(problem.profile.times),
+            _as_list(problem.profile.free),
             ja.submit,
             ja.nodes,
             ja.runtime,
@@ -263,8 +279,8 @@ class _CompiledShardRun:
             1 if self._record_anytime else 0,
             problem.profile.capacity,
             TIME_EPS,
-            list(problem.profile.times),
-            list(problem.profile.free),
+            _as_list(problem.profile.times),
+            _as_list(problem.profile.free),
             ja.submit,
             ja.nodes,
             ja.runtime,

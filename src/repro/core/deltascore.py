@@ -104,10 +104,11 @@ class JobArrays:
     with the floor clamp already applied (identical bits to clamping at
     every visit, hoisted because it never changes within a search).
     ``np_submit``/``np_denom`` are numpy mirrors for the vectorized leaf
-    fold, ``None`` when numpy is unavailable.
+    fold, built on first read (only that fold reads them) and ``None``
+    when numpy is unavailable.
     """
 
-    __slots__ = ("submit", "nodes", "runtime", "denom", "np_submit", "np_denom")
+    __slots__ = ("submit", "nodes", "runtime", "denom", "_np_submit", "_np_denom")
 
     def __init__(
         self,
@@ -120,11 +121,20 @@ class JobArrays:
         self.nodes = nodes
         self.runtime = runtime
         self.denom = denom
-        self.np_submit: Any = None
-        self.np_denom: Any = None
-        if _np is not None:
-            self.np_submit = _np.asarray(submit, dtype=_np.float64)
-            self.np_denom = _np.asarray(denom, dtype=_np.float64)
+        self._np_submit: Any = None
+        self._np_denom: Any = None
+
+    @property
+    def np_submit(self) -> Any:
+        if self._np_submit is None and _np is not None:
+            self._np_submit = _np.asarray(self.submit, dtype=_np.float64)
+        return self._np_submit
+
+    @property
+    def np_denom(self) -> Any:
+        if self._np_denom is None and _np is not None:
+            self._np_denom = _np.asarray(self.denom, dtype=_np.float64)
+        return self._np_denom
 
     @classmethod
     def build(

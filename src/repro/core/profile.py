@@ -37,7 +37,7 @@ Two implementations share these semantics:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -250,6 +250,25 @@ class AvailabilityProfile:
         self.free.insert(i + 1, self.free[i])
         return i + 1, True
 
+    def _end_breakpoint(self, end: float, lo: int) -> tuple[int, bool]:
+        """Index of the breakpoint closing a claim that ends at ``end``.
+
+        The claim covers exactly the segments :meth:`earliest_fit` and
+        :meth:`min_free` check for it: those from index ``lo - 1`` (the
+        start segment) that start ``time_lt`` before ``end``.  The first
+        later breakpoint closes it if it starts by ``end``; otherwise one
+        is inserted at ``end``.  (``time_eq`` would also keep a breakpoint
+        apart from ``end`` when ``end - TIME_EPS`` rounds onto it, leaving
+        a sliver the fit never checked.)
+        """
+        times = self.times
+        j = bisect_left(times, end - TIME_EPS, lo)
+        if j < len(times) and times[j] <= end:
+            return j, False
+        times.insert(j, end)
+        self.free.insert(j, self.free[j - 1])
+        return j, True
+
     def reserve(
         self,
         start: float,
@@ -266,9 +285,8 @@ class AvailabilityProfile:
         ``check=False`` to skip the redundant feasibility scan.  ``hint``
         optionally names the segment containing ``start`` (the index from
         :meth:`earliest_fit`), eliminating the start-breakpoint ``bisect``
-        and bounding the end-breakpoint one — together with the fit's own
-        bisect the hottest reserve pattern then bisects once, not three
-        times.
+        — together with the fit's own bisect the hottest reserve pattern
+        then bisects twice, not three times.
         """
         if check:
             check_positive("duration", duration)
@@ -277,9 +295,7 @@ class AvailabilityProfile:
         occupied_before = self._occupied_node_seconds() if sanitize else 0.0
         end = start + duration
         i, created_start = self._ensure_breakpoint(start, hint)
-        # ``i`` starts at or before ``end``, so it is a valid proposal for
-        # the end breakpoint too (exact for within-segment reservations).
-        j, created_end = self._ensure_breakpoint(end, i)
+        j, created_end = self._end_breakpoint(end, i + 1)
         free = self.free
         if check and any(free[k] < nodes for k in range(i, j)):
             # Roll back the breakpoints we just created before raising.
@@ -308,10 +324,10 @@ class AvailabilityProfile:
         sanitize = sanitize_enabled()
         occupied_before = self._occupied_node_seconds() if sanitize else 0.0
         i = bisect_right(self.times, token.start) - 1
-        j = bisect_right(self.times, token.end) - 1
         if i < 0 or not time_eq(self.times[i], token.start):
             raise ValueError("release token does not match profile state")
-        if j < 0 or not time_eq(self.times[j], token.end):
+        j = bisect_left(self.times, token.end - TIME_EPS, i + 1)
+        if j == len(self.times) or self.times[j] > token.end:
             raise ValueError("release token does not match profile state")
         for k in range(i, j):
             self.free[k] += token.nodes
@@ -524,18 +540,15 @@ class SearchProfile:
             created_start = True
             m += 1
 
-        # --- end breakpoint: continue the walk from the start slot ------
-        j = si + 1
-        while j < m and t[j] <= end:
-            j += 1
-        j -= 1
-        if end - t[j] <= eps:
-            ej = j
+        # --- end breakpoint: the claim covers exactly the segments the
+        # scan checked; the first one it left (``j``) closes the claim if
+        # it starts by ``end``, else a breakpoint is inserted at ``end`` --
+        ej = j + 1 if created_start else j
+        if ej < m and t[ej] <= end:
             created_end = False
         else:
-            ej = j + 1
             t.insert(ej, end)
-            f.insert(ej, f[j])
+            f.insert(ej, f[ej - 1])
             created_end = True
 
         # --- claim the nodes over [start pos, end pos) ------------------
@@ -690,23 +703,18 @@ class SearchProfile:
             # --- start breakpoint ---------------------------------------
             if start - t[i] <= eps:
                 si = i
+                ej = j
             else:
                 si = i + 1
                 t.insert(si, start)
                 f.insert(si, f[i])
                 m += 1
-
-            # --- end breakpoint -----------------------------------------
-            j = si + 1
-            while j < m and t[j] <= end:
-                j += 1
-            j -= 1
-            if end - t[j] <= eps:
-                ej = j
-            else:
                 ej = j + 1
+
+            # --- end breakpoint (as in place()) -------------------------
+            if ej >= m or t[ej] > end:
                 t.insert(ej, end)
-                f.insert(ej, f[j])
+                f.insert(ej, f[ej - 1])
 
             # --- claim the nodes over [start pos, end pos) --------------
             for k in range(si, ej):
@@ -801,23 +809,18 @@ class SearchProfile:
             # --- start breakpoint ---------------------------------------
             if start - t[i] <= eps:
                 si = i
+                ej = j
             else:
                 si = i + 1
                 t.insert(si, start)
                 f.insert(si, f[i])
                 m += 1
-
-            # --- end breakpoint -----------------------------------------
-            j = si + 1
-            while j < m and t[j] <= end:
-                j += 1
-            j -= 1
-            if end - t[j] <= eps:
-                ej = j
-            else:
                 ej = j + 1
+
+            # --- end breakpoint (as in place()) -------------------------
+            if ej >= m or t[ej] > end:
                 t.insert(ej, end)
-                f.insert(ej, f[j])
+                f.insert(ej, f[ej - 1])
 
             # --- claim the nodes over [start pos, end pos) --------------
             for k in range(si, ej):

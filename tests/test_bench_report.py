@@ -98,6 +98,24 @@ def test_e2e_section_measures_whole_run_throughput(report):
         assert row["policy"].startswith("DDS/lxf/dynB")
 
 
+def test_queue_length_rows_cover_long_queues(report):
+    """The v4 queue-length section: a reference row per queue length at
+    L = 10K, plus a compiled row and ratio exactly when the kernel is
+    importable."""
+    engines = ["reference", "compiled"] if have_compiled() else ["reference"]
+    rows = report["queue_length"]
+    assert [(r["n_jobs"], r["engine"]) for r in rows] == [
+        (n, engine) for n in bench_mod.QUEUE_LENGTHS for engine in engines
+    ]
+    for row in rows:
+        assert row["policy"] == "DDS/lxf/dynB"
+        assert row["node_limit"] == bench_mod.QUEUE_NODE_LIMIT
+        assert row["nodes_per_second"] > 0
+    ratios = report["queue_speedups"]
+    assert len(ratios) == (len(bench_mod.QUEUE_LENGTHS) if have_compiled() else 0)
+    assert all(key.endswith(":compiled") for key in ratios)
+
+
 def test_parallel_identity_assert_fires_on_divergence(monkeypatch):
     """A parallel result that differs from fast by one field must abort
     the report — a speedup over a different answer is meaningless."""
@@ -170,6 +188,21 @@ def test_check_bench_bands_the_compiled_family(report):
     # A pure-python fresh run never fails against a compiled baseline.
     degraded["compiled_available"] = False
     assert check_bench(degraded, report) == []
+
+
+@pytest.mark.skipif(not have_compiled(), reason="compiled kernel not built")
+def test_check_bench_bands_queue_length_ratios(report):
+    """Queue-length compiled/reference ratios share the compiled band; a
+    v3 baseline without them checks cleanly."""
+    degraded = json.loads(json.dumps(report))
+    for key in degraded["queue_speedups"]:
+        degraded["queue_speedups"][key] *= 0.01
+    failures = check_bench(degraded, report)
+    assert len(failures) == len(bench_mod.QUEUE_LENGTHS)
+    assert all("[n=" in f and "compiled/reference" in f for f in failures)
+    v3 = json.loads(json.dumps(report))
+    del v3["queue_speedups"]
+    assert check_bench(degraded, v3) == []
 
 
 def test_check_bench_bands_e2e_throughput(report):

@@ -12,7 +12,10 @@ importable); this file owns everything about the *boundary*:
   criteria evaluators, the runtime sanitizer — route to the fast engine
   even when the kernel is present;
 - fixed-instance fingerprint identity at edge budgets (empty problem,
-  single job, exhaustive, prune, anytime traces);
+  single job, exhaustive, prune, anytime traces), and on long queues
+  over profiles with hundreds of segments, where budgets cut chains
+  partway through;
+- every engine rejects a problem whose ``runtimes`` lacks a job;
 - the parallel engine's shards ride the kernel transparently and pick
   the pure-python ``_ShardRun`` whenever blackboard sharing is in play;
 - the ``CHAIN_VECTOR_MIN`` crossover override (env + live retune) never
@@ -38,8 +41,10 @@ from repro.core.criteria import (
 )
 from repro.core.objective import ScheduleScore
 from repro.core.search import DiscrepancySearch, resolve_runtimes
+from repro.util.rng import RngStream
 from repro.util.sanitize import sanitized
-from tests.oracles import InstanceSpec, build_problem, fingerprint
+from repro.util.timeunits import HOUR
+from tests.oracles import NOW, InstanceSpec, build_problem, fingerprint
 
 needs_kernel = pytest.mark.skipif(
     not have_compiled(), reason="compiled kernel not built"
@@ -195,6 +200,145 @@ def test_bench_decision_point_identity(algorithm, heuristic):
             prune=prune, record_anytime=True,
         )
         assert fingerprint(compiled) == fingerprint(fast)
+
+
+def test_missing_runtime_raises_in_every_engine():
+    """A ``runtimes`` override that lacks a job is an error naming the
+    missing ids, whichever engine runs the search."""
+    problem = SMALL.to_problem()
+    rt = resolve_runtimes(problem)
+    del rt[1], rt[3]
+    partial = dataclasses.replace(problem, runtimes=rt)
+    for engine in ("reference", "fast", "compiled"):
+        with pytest.raises(ValueError) as info:
+            _search(engine, partial)
+        assert str(info.value) == "runtimes missing for jobs [1, 3]"
+
+
+#: Job 0 ends 1.0000000010004442 s after NOW, 1.0004e-9 s past the
+#: breakpoint at NOW + 1: ``time_eq`` keeps the two apart, but
+#: ``end - TIME_EPS`` rounds onto the breakpoint, so the earliest-fit scan
+#: never checks the sliver between them.
+EPS_BAND = InstanceSpec(
+    capacity=8,
+    jobs=((0.0, 8, 1.0000000010004442), (600.0, 2, 3600.0)),
+    segments=((NOW, 8), (NOW + 1.0, 2), (NOW + 5 * HOUR, 8)),
+    omega=600.0,
+    heuristic="fcfs",
+)
+
+
+def test_claims_end_where_the_fit_window_ends_in_every_engine():
+    """A placement claims exactly the segments its fit checked, so job 0
+    leaves no unchecked sliver behind NOW + 1 and job 1 starts there."""
+    problem = EPS_BAND.to_problem()
+    prints = {
+        engine: fingerprint(_search(engine, problem, node_limit=None, record_anytime=True))
+        for engine in ("reference", "fast", "compiled")
+    }
+    assert prints["fast"] == prints["reference"] == prints["compiled"]
+    best = _search("compiled", problem, node_limit=None)
+    assert best.best_starts == {0: NOW, 1: NOW + 1.0}
+
+
+# ----------------------------------------------------------------------
+# Long queues on long profiles
+# ----------------------------------------------------------------------
+def _long_problem(n_jobs: int, heuristic: str):
+    """``n_jobs`` waiting jobs on a 256-node machine that stays mostly
+    busy for hundreds of breakpoints, so chains scan, split and shift
+    long segment arrays."""
+    rng = RngStream(12, f"long-profile-{n_jobs}")
+    capacity = 256
+    segments = []
+    t = NOW
+    for _ in range(300):
+        segments.append((t, int(rng.integers(0, 97))))
+        t += float(rng.uniform(60, 1800))
+    segments.append((t, capacity))
+    jobs = tuple(
+        (
+            float(rng.uniform(0, NOW)),
+            int(rng.integers(1, 129)),
+            float(rng.uniform(600, 12 * HOUR)),
+        )
+        for _ in range(n_jobs)
+    )
+    spec = InstanceSpec(
+        capacity=capacity,
+        jobs=jobs,
+        segments=tuple(segments),
+        omega=HOUR,
+        heuristic=heuristic,
+    )
+    return spec.to_problem()
+
+
+@needs_kernel
+@pytest.mark.parametrize("n_jobs", [120, 240])
+@pytest.mark.parametrize("algorithm,heuristic", [("dds", "lxf"), ("lds", "fcfs")])
+@pytest.mark.parametrize("node_limit", [137, 2_503, 10_000])
+@pytest.mark.parametrize("prune", [False, True])
+def test_long_profile_identity(n_jobs, algorithm, heuristic, node_limit, prune):
+    problem = _long_problem(n_jobs, heuristic)
+    assert len(problem.profile.times) > 300
+    compiled = _search(
+        "compiled", problem, algorithm, node_limit,
+        prune=prune, record_anytime=True,
+    )
+    fast = _search(
+        "fast", problem, algorithm, node_limit,
+        prune=prune, record_anytime=True,
+    )
+    assert fingerprint(compiled) == fingerprint(fast)
+    if not prune:
+        # Every budget above lands mid-tree, most of them mid-chain.
+        assert compiled.limit_hit
+
+
+@needs_kernel
+@pytest.mark.parametrize("n_jobs", [120, 240])
+@pytest.mark.parametrize(
+    "algorithm,heuristic,iteration,path,counted",
+    [
+        ("dds", "lxf", 3, (2,), 1),
+        ("dds", "lxf", 2, (0, 5), 1),
+        ("lds", "fcfs", 2, (1, 0), 2),
+        ("lds", "fcfs", 3, (0, 2, 1), 1),
+    ],
+)
+@pytest.mark.parametrize("budget", [90, 1_000])
+@pytest.mark.parametrize("prune", [False, True])
+def test_long_profile_shard_identity(
+    n_jobs, algorithm, heuristic, iteration, path, counted, budget, prune
+):
+    """``run_shard`` on the kernel against the pure ``_ShardRun``: path
+    replay on a long profile, then a budget that stops mid-subtree."""
+    from repro.core.parallel_search import _ShardRun
+
+    problem = _long_problem(n_jobs, heuristic)
+    incumbent = _search("fast", problem, algorithm, 1).best_score
+    with sanitized(False):
+        compiled = compiled_shard_run(
+            problem, algorithm, budget, prune, True, incumbent
+        )
+        assert compiled is not None
+        compiled.run_shard(iteration, path, counted)
+        pure = _ShardRun(problem, algorithm, budget, prune, True, incumbent)
+        pure.run_shard(iteration, path, counted)
+
+    def outcome(run):
+        return (
+            tuple(job.job_id for job in run.best_order),
+            tuple(sorted(run.best_starts.items())),
+            run.best_score,
+            run.nodes_visited,
+            run.leaves_evaluated,
+            run.limit_hit,
+            tuple(run.anytime),
+        )
+
+    assert outcome(compiled) == outcome(pure)
 
 
 # ----------------------------------------------------------------------

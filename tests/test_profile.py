@@ -125,6 +125,28 @@ def test_min_free():
         p.min_free(10.0, 10.0)
 
 
+def test_claim_covers_exactly_the_fit_window_at_the_eps_boundary():
+    """``1e-9 + 1.0 - TIME_EPS`` rounds onto the breakpoint at 1.0, so the
+    fit and ``min_free`` treat 1.0 as the end of ``[1e-9, 1e-9 + 1.0)``
+    while ``time_eq`` keeps it apart.  The claim must still end there: a
+    sliver ``[1.0, 1e-9 + 1.0)`` would be claimed unchecked and go
+    negative."""
+    p = AvailabilityProfile(16, origin=0.0)
+    p.reserve(1.0, 1.0, 1)
+    before = p.segments()
+    start = p.earliest_start(16, 1.0, 1e-9)
+    assert p.min_free(start, start + 1.0) == 16
+    token = p.reserve(start, 1.0, 16)
+    assert p.segments() == [(0.0, 0), (1.0, 15), (2.0, 16)]
+    p.check_invariants()
+    p.release(token)
+    assert p.segments() == before
+
+    view = AvailabilityProfile.from_segments(16, before).search_view()
+    assert view.place(16, 1.0, 1e-9) == start  # simlint: skip=SIM003 (bit-identity)
+    assert view.segments() == [(0.0, 0), (1.0, 15), (2.0, 16)]
+
+
 def test_copy_is_independent():
     p = AvailabilityProfile(4, origin=0.0)
     q = p.copy()
