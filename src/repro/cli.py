@@ -101,15 +101,8 @@ class CliError(Exception):
     """User-facing CLI error (bad spec, unknown month, ...)."""
 
 
-def parse_policy(
-    spec: str, node_limit: int, runtime_source: bool, search_workers: int = 1
-) -> SchedulingPolicy:
-    """Build a policy from a CLI spec string (see module docstring).
-
-    ``search_workers > 1`` runs each decision's search on the parallel
-    engine (search-based specs only; backfill policies have no per-decision
-    search to parallelize and ignore it).
-    """
+def parse_policy(spec: str, node_limit: int, runtime_source: bool) -> SchedulingPolicy:
+    """Build a policy from a CLI spec string (see module docstring)."""
     lowered = spec.strip().lower()
     simple = {
         "fcfs-bf": lambda: fcfs_backfill(runtime_source),
@@ -151,7 +144,6 @@ def parse_policy(
                 bound=bound,
                 node_limit=node_limit,
                 runtime_source=runtime_source,
-                search_workers=search_workers,
             )
         except ValueError as exc:
             raise CliError(str(exc)) from None
@@ -278,12 +270,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         _print_run(run, args.excess_threshold)
         return 0
     workload = _load_workload(args)
-    policy = parse_policy(
-        args.policy,
-        args.node_limit,
-        not args.requested_runtimes,
-        search_workers=args.search_workers,
-    )
+    policy = parse_policy(args.policy, args.node_limit, not args.requested_runtimes)
     checkpoint = None
     if args.checkpoint_dir:
         from repro.simulator.checkpoint import CheckpointConfig
@@ -374,12 +361,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if not committed_path.exists():
             raise CliError(f"no committed report at {committed_path} to check against")
         committed = json.loads(committed_path.read_text())
-        fresh = run_bench(
-            quick=args.quick,
-            repeats=args.repeats,
-            search_workers=args.search_workers,
-            progress=print,
-        )
+        fresh = run_bench(quick=args.quick, repeats=args.repeats, progress=print)
         failures = check_bench(fresh, committed)
         for failure in failures:
             print(f"TOLERANCE FAIL: {failure}")
@@ -388,14 +370,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"within tolerance of {committed_path}")
         return 0
     report = write_bench(
-        args.out,
-        quick=args.quick,
-        repeats=args.repeats,
-        search_workers=args.search_workers,
-        progress=print,
+        args.out, quick=args.quick, repeats=args.repeats, progress=print
     )
-    # The v2 speedups dict holds three families; the fast/reference keys
-    # are the ones without a ":variant" suffix.
+    # The speedups dict holds one family per variant; the fast/reference
+    # keys are the ones without a ":variant" suffix.
     worst = min(v for k, v in report["speedups"].items() if ":" not in k)
     print(f"wrote {args.out} (worst fast/reference speedup {worst:.2f}x)")
     return 0
@@ -407,12 +385,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.experiments.profiling import profile_decisions
 
     workload = _load_workload(args)
-    policy = parse_policy(
-        args.policy,
-        args.node_limit,
-        not args.requested_runtimes,
-        search_workers=args.search_workers,
-    )
+    policy = parse_policy(args.policy, args.node_limit, not args.requested_runtimes)
     try:
         profiler, ran = profile_decisions(workload, policy, args.decisions)
     except ValueError as exc:
@@ -656,14 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also report excessive wait beyond this many hours",
     )
     run.add_argument(
-        "--search-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan each decision's search across N worker processes "
-        "(engine='parallel'; results are invariant to N)",
-    )
-    run.add_argument(
         "--checkpoint-dir",
         default=None,
         metavar="DIR",
@@ -747,14 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="BENCH_search.json", help="report path (default: repo root)"
     )
     bench.add_argument(
-        "--search-workers",
-        type=int,
-        default=4,
-        metavar="N",
-        help="worker count for the parallel-engine rows (bit-identity "
-        "against the fast engine is asserted per config)",
-    )
-    bench.add_argument(
         "--check",
         action="store_true",
         help="re-measure and verify against the committed --out report's "
@@ -787,13 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(_ESTIMATES),
         default=None,
         help="synthesize user runtime estimates with this model",
-    )
-    profile.add_argument(
-        "--search-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan each decision's search across N worker processes",
     )
     profile.add_argument(
         "--decisions",

@@ -13,10 +13,7 @@ source of truth:
   absent or the search needs a facility the kernel deliberately omits
   (wall-clock deadlines, custom criteria evaluators, the runtime
   sanitizer's per-mutation checks) — the results are bit-identical
-  either way, so the fallback is unobservable except in wall time;
-- :func:`compiled_shard_run` is the parallel engine's hook: shard tasks
-  ride the compiled kernel transparently when no blackboard sharing is
-  in play (``None`` means "use the pure-python shard runner").
+  either way, so the fallback is unobservable except in wall time.
 
 Build it with ``pip install -e .[compiled]`` or, for a ``PYTHONPATH=src``
 checkout, ``python setup.py build_ext --inplace`` (see
@@ -213,112 +210,3 @@ class _CompiledSearchRun:
             anytime=_anytime_scores(anytime),
         )
 
-
-class _CompiledShardRun:
-    """One parallel-engine shard on the C kernel.
-
-    Exposes exactly the attributes ``_outcome_of`` in
-    :mod:`repro.core.parallel_search` reads (``best_order``,
-    ``best_starts``, ``best_score``, ``nodes_visited``,
-    ``leaves_evaluated``, ``limit_hit``, ``anytime``), and the same
-    ``run_shard(iteration, path, counted)`` entry as ``_ShardRun``.
-    The seeded incumbent is reported back unless the shard strictly
-    improved on it — ``best_order`` left empty means "nothing better
-    here", which is what the merge's rank tie-break keys on.
-    """
-
-    def __init__(
-        self,
-        problem: "SearchProblem",
-        algorithm: str,
-        budget: int | None,
-        prune: bool,
-        record_anytime: bool,
-        incumbent: ScheduleScore,
-    ) -> None:
-        self._problem = problem
-        self._algorithm = algorithm
-        self._budget = budget
-        self._prune = prune
-        self._record_anytime = record_anytime
-        self._incumbent = incumbent
-        self.best_order: tuple[Any, ...] = ()
-        self.best_starts: dict[int, float] = {}
-        self.best_score: ScheduleScore = incumbent
-        self.nodes_visited = 0
-        self.leaves_evaluated = 0
-        self.limit_hit = False
-        self.anytime: list[tuple[int, ScheduleScore]] | None = (
-            [] if record_anytime else None
-        )
-
-    def run_shard(
-        self, iteration: int, path: tuple[int, ...], counted: int
-    ) -> None:
-        problem = self._problem
-        ja = _job_arrays(problem)
-        assert _impl is not None  # compiled_shard_run checked
-        (
-            has_order,
-            b_exc,
-            b_slow,
-            b_d,
-            idxs,
-            starts,
-            nodes_visited,
-            leaves,
-            limit_hit,
-            anytime,
-        ) = _impl.run_shard(
-            1 if self._algorithm == "lds" else 0,
-            iteration,
-            tuple(path),
-            counted,
-            -1 if self._budget is None else self._budget,
-            1 if self._prune else 0,
-            1 if self._record_anytime else 0,
-            problem.profile.capacity,
-            TIME_EPS,
-            _as_list(problem.profile.times),
-            _as_list(problem.profile.free),
-            ja.submit,
-            ja.nodes,
-            ja.runtime,
-            ja.denom,
-            problem.now,
-            problem.omega,
-            self._incumbent.total_excessive_wait,
-            self._incumbent.total_slowdown,
-        )
-        self.nodes_visited = nodes_visited
-        self.leaves_evaluated = leaves
-        self.limit_hit = bool(limit_hit)
-        self.anytime = _anytime_scores(anytime)
-        if has_order:
-            jobs = problem.jobs
-            order = tuple(jobs[i] for i in idxs)
-            self.best_order = order
-            self.best_starts = {
-                order[p].job_id: starts[p] for p in range(len(order))
-            }
-            self.best_score = ScheduleScore(b_exc, b_slow, b_d)
-
-
-def compiled_shard_run(
-    problem: "SearchProblem",
-    algorithm: str,
-    budget: int | None,
-    prune: bool,
-    record_anytime: bool,
-    incumbent: Any,
-) -> _CompiledShardRun | None:
-    """A compiled shard runner, or ``None`` when the task must take the
-    pure-python ``_ShardRun`` (kernel absent, custom evaluator, sanitizer
-    on, or a non-two-level incumbent)."""
-    if not isinstance(incumbent, ScheduleScore):
-        return None
-    if not _kernel_eligible(problem, None):
-        return None
-    return _CompiledShardRun(
-        problem, algorithm, budget, prune, record_anytime, incumbent
-    )

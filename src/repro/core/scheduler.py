@@ -68,12 +68,6 @@ class SearchSchedulingPolicy(SchedulingPolicy):
     fairshare_half_life:
         Decay half-life of the per-user usage tracker (only relevant when
         some criterion ``needs_usage``).
-    search_workers:
-        Worker processes for the intra-decision parallel search.  ``> 1``
-        requires (and :func:`make_policy` implies) ``engine="parallel"``;
-        the persistent pool is pre-spawned per simulation via the
-        ``on_simulation_begin`` lifecycle hook.  Results are invariant to
-        this knob.
     """
 
     def __init__(
@@ -89,8 +83,6 @@ class SearchSchedulingPolicy(SchedulingPolicy):
         local_search_fraction: float = 0.0,
         record_anytime: bool = False,
         engine: str = "fast",
-        search_workers: int = 1,
-        share_incumbent: bool = False,
     ) -> None:
         if heuristic not in HEURISTICS:
             raise ValueError(
@@ -104,8 +96,6 @@ class SearchSchedulingPolicy(SchedulingPolicy):
             local_search_fraction=local_search_fraction,
             record_anytime=record_anytime,
             engine=engine,
-            search_workers=search_workers,
-            share_incumbent=share_incumbent,
         )
         self.heuristic = heuristic
         self.objective = ObjectiveConfig(bound=self.bound)
@@ -233,23 +223,6 @@ class SearchSchedulingPolicy(SchedulingPolicy):
         if self.usage_tracker is not None:
             self.usage_tracker.record_start(job, now, self.runtime_of(job))
 
-    # ------------------------------------------------------------------
-    # Pool lifecycle: the engine brackets every run with these hooks, so
-    # the parallel engine's fork cost lands at simulation start instead of
-    # inside the first decision.
-    # ------------------------------------------------------------------
-    def on_simulation_begin(self) -> None:
-        if self.searcher.engine == "parallel" and self.searcher.search_workers > 1:
-            from repro.util.workerpool import get_pool
-
-            get_pool(self.searcher.search_workers).ensure_started()
-
-    def on_simulation_end(self) -> None:
-        # The pool deliberately stays warm: it is keyed by worker count in
-        # a process-wide registry and reused by the next simulation (or
-        # torn down atexit / via workerpool.shutdown_all()).
-        pass
-
 
 def make_policy(
     algorithm: str,
@@ -259,7 +232,6 @@ def make_policy(
     runtime_source: "RuntimeSource | bool | str | None" = None,
     prune: bool = False,
     criteria: "Sequence[Criterion] | None" = None,
-    search_workers: int = 1,
 ) -> SearchSchedulingPolicy:
     """Convenience factory.
 
@@ -267,8 +239,7 @@ def make_policy(
     fixed bound, or ``None`` for the dynamic bound (dynB).
     ``runtime_source`` follows
     :func:`repro.predict.source.resolve_runtime_source`.
-    ``search_workers > 1`` selects ``engine="parallel"``; otherwise the
-    sequential engine defaults to the compiled kernel when it is built
+    The engine defaults to the compiled kernel when it is built
     (:func:`repro.core.ckernel.default_engine` — bit-identical results,
     silent fallback, ``REPRO_PURE_PYTHON=1`` opts out).
     """
@@ -286,6 +257,5 @@ def make_policy(
         runtime_source=runtime_source,
         prune=prune,
         criteria=criteria,
-        engine="parallel" if search_workers > 1 else default_engine(),
-        search_workers=search_workers,
+        engine=default_engine(),
     )

@@ -36,15 +36,10 @@ Three engines implement the identical traversal:
   node accounting) must be bit-identical between the two engines; the
   differential tests in ``tests/test_search_fastpath.py`` and the
   ``repro bench`` harness both hold the fast path to that contract.
-- ``engine="parallel"`` — the fast DFS fanned out across a persistent
-  process pool (:mod:`repro.core.parallel_search`).  The tree is statically
-  partitioned into :class:`SearchShard` units with exactly-computed serial
-  node counts (the combinatorics below), each shard gets the slice of the
-  node budget the serial engine would have spent there (:func:`plan_shards`),
-  and shard bests are merged with a serial-rank tie-break
-  (:func:`merge_shard_outcomes`).  With ``prune=False`` the result is
-  bit-identical to ``engine="fast"`` at *any* budget — not just full-tree —
-  and invariant to ``search_workers``.
+- ``engine="compiled"`` — the fast engine's delta kernel transcribed to C
+  (:mod:`repro.core.ckernel`), held to the same bit-identity contract and
+  silently falling back to ``engine="fast"`` when the extension is absent
+  or the search needs a facility the kernel omits.
 """
 
 from __future__ import annotations
@@ -52,8 +47,7 @@ from __future__ import annotations
 import time as _wallclock
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Callable, Mapping, Sequence, Union
+from typing import Any, Callable, Union
 
 from repro.core import deltascore
 from repro.core.criteria import CriteriaEvaluator, MultiScore
@@ -216,22 +210,11 @@ class DiscrepancySearch:
     #: exhausted first stops the search.
     time_limit_seconds: float | None = None
     #: ``"fast"`` (allocation-free hot path, the default), ``"reference"``
-    #: (the executable specification), or ``"parallel"`` (the fast DFS
-    #: sharded across a persistent worker pool).  All return bit-identical
-    #: results with ``prune=False``; the knob exists for differential
-    #: testing and the ``repro bench`` speedup measurement.
+    #: (the executable specification), or ``"compiled"`` (the C kernel,
+    #: falling back to ``"fast"``).  All return bit-identical results; the
+    #: knob exists for differential testing and the ``repro bench``
+    #: speedup measurement.
     engine: str = "fast"
-    #: Worker processes for ``engine="parallel"`` (1 = run the sharded
-    #: search inline; still bit-identical).  The chosen schedule is
-    #: invariant to this knob — it buys wall-clock time, never a different
-    #: answer.
-    search_workers: int = 1
-    #: Opt-in shared-memory incumbent broadcast between shards (requires
-    #: ``engine="parallel"`` and ``prune=True``).  Tightens pruning bounds
-    #: mid-flight, but makes *node accounting* depend on worker timing —
-    #: documented as budget-nondeterministic.  The paper's default
-    #: configuration (``prune=False``) never uses it.
-    share_incumbent: bool = False
 
     def __post_init__(self) -> None:
         if self.algorithm not in _ALGORITHMS:
@@ -244,30 +227,10 @@ class DiscrepancySearch:
             raise ValueError("local_search_fraction must be in [0, 1)")
         if self.time_limit_seconds is not None and self.time_limit_seconds <= 0:
             raise ValueError("time_limit_seconds must be > 0 or None")
-        engines = (*_ENGINES, "parallel", "compiled")
+        engines = (*_ENGINES, "compiled")
         if self.engine not in engines:
             raise ValueError(
                 f"unknown engine {self.engine!r}; choose from {engines}"
-            )
-        if self.search_workers < 1:
-            raise ValueError("search_workers must be >= 1")
-        if self.engine == "parallel":
-            if self.time_limit_seconds is not None:
-                raise ValueError(
-                    "time_limit_seconds is incompatible with engine='parallel': "
-                    "a wall-clock budget makes the visited set depend on worker "
-                    "timing, breaking the worker-count invariance contract; "
-                    "use node_limit, or a serial engine for time-limited runs"
-                )
-        elif self.search_workers != 1:
-            raise ValueError(
-                f"search_workers={self.search_workers} requires engine='parallel' "
-                f"(got engine={self.engine!r})"
-            )
-        if self.share_incumbent and not (self.engine == "parallel" and self.prune):
-            raise ValueError(
-                "share_incumbent requires engine='parallel' and prune=True "
-                "(it broadcasts branch-and-bound incumbents between shards)"
             )
 
     # ------------------------------------------------------------------
@@ -279,23 +242,10 @@ class DiscrepancySearch:
                 1, round(self.node_limit * (1.0 - self.local_search_fraction))
             )
         runner: Any
-        if self.engine == "parallel":
-            # Imported lazily: parallel_search imports this module's DFS.
-            from repro.core.parallel_search import _ParallelSearchRun
-
-            runner = _ParallelSearchRun(
-                problem,
-                self.algorithm,
-                tree_budget,
-                self.prune,
-                self.record_anytime,
-                search_workers=self.search_workers,
-                share_incumbent=self.share_incumbent,
-            )
-        elif self.engine == "compiled":
-            # Imported lazily, like the parallel engine: the wrapper
-            # falls back to _FastSearchRun when the extension is absent
-            # or the search needs a facility the kernel omits.
+        if self.engine == "compiled":
+            # Imported lazily: the wrapper falls back to _FastSearchRun
+            # when the extension is absent or the search needs a facility
+            # the kernel omits.
             from repro.core.ckernel import _CompiledSearchRun
 
             runner = _CompiledSearchRun(
@@ -457,12 +407,6 @@ class _SearchRunBase:
             self.best_starts = {job.job_id: start for job, start in self._prefix}
             if self.anytime is not None:
                 self.anytime.append((self.nodes_visited, score))
-            self._on_improved()
-
-    def _on_improved(self) -> None:
-        """Hook: the incumbent was just replaced (both leaf paths call
-        this).  The parallel engine's shard runs override it to publish
-        the new best to the shared-memory blackboard."""
 
     def _prune_child(self, acc: tuple[float, ...], left: int) -> bool:
         """Branch-and-bound: can this partial schedule still beat the best?"""
@@ -703,7 +647,6 @@ class _FastSearchRun(_SearchRunBase):
         self.best_starts = {order[p].job_id: path_s[p] for p in range(d)}
         if self.anytime is not None:
             self.anytime.append((self.nodes_visited, score))
-        self._on_improved()
 
     def _prune_child2(self, exc: float, slow: float, left: int) -> bool:
         """`_prune_child` on the delta accumulators (same lower bound:
@@ -815,7 +758,7 @@ class _FastSearchRun(_SearchRunBase):
     def _chain2_slow(self, m: int, exc: float, slow: float, d: int) -> None:
         """Per-node chain for the cases batching must not paper over:
         wall-clock deadlines (poll cadence), pruning (per-step bounds),
-        the sanitizer (per-mutation checks), and shard blackboard polls.
+        and the sanitizer (per-mutation checks).
         Still delta-scored and unlink-free; undo is one rollback."""
         nxt = self._nxt
         submit, denom = self._sa_submit, self._sa_denom
@@ -1102,332 +1045,10 @@ class _FastSearchRun(_SearchRunBase):
 
 
 #: Engine name -> run class (the ``DiscrepancySearch.engine`` knob).
-#: ``"parallel"`` is dispatched separately (its runner takes extra knobs
-#: and lives in :mod:`repro.core.parallel_search`).
+#: ``"compiled"`` is dispatched separately (its runner lives in
+#: :mod:`repro.core.ckernel` and falls back to ``"fast"``).
 _ENGINES: dict[str, type[_SearchRunBase]] = {
     "fast": _FastSearchRun,
     "reference": _ReferenceSearchRun,
 }
 
-
-# ======================================================================
-# Static shard partition for the parallel engine
-# ======================================================================
-#
-# With ``prune=False`` the serial visit sequence is purely combinatorial:
-# which (job-position) gets placed when depends only on (n, algorithm,
-# iteration), never on scores.  That makes the node count of every subtree
-# *exactly computable*, which is the whole foundation of the parallel
-# engine's determinism story:
-#
-# 1. ``enumerate_shards`` cuts each discrepancy iteration into shards —
-#    a path from the iteration root plus the entire subtree below it —
-#    emitted precisely in serial visit order (``rank``).
-# 2. ``plan_shards`` walks the shards in rank order handing each the slice
-#    of the node budget the serial engine would have spent there.  The
-#    union of executed visits is therefore the *serial prefix of length L*,
-#    so a budget-capped parallel run reproduces the serial truncation
-#    bit-for-bit — and is trivially invariant to worker count, because
-#    nothing here depends on it.
-# 3. ``merge_shard_outcomes`` folds shard bests in rank order with a
-#    strict-improvement comparison, which reproduces the serial engine's
-#    keep-the-first-strict-minimum tie-break.
-#
-# Node counts saturate at ``_SAT`` (discrepancy trees are factorial-sized;
-# the arithmetic must not be): any saturated subtree is by definition
-# larger than every practical budget, which is all the planner needs.
-
-#: Saturation cap for subtree node counts (far above any real budget).
-_SAT = 1 << 62
-
-
-@lru_cache(maxsize=None)
-def lds_subtree_nodes(m: int, k_left: int) -> int:
-    """Node visits of ``_dfs_lds(m, k_left, ...)`` — excluding the root's
-    own placement, saturated at ``_SAT``.
-
-    Mirrors the engine's feasibility rules exactly: ``k_left == 0`` runs
-    the m-node heuristic chain; otherwise child ``idx`` costs one visit
-    plus its subtree iff its remaining budget fits in the levels left
-    (``child_k <= max(0, m - 2)``).
-    """
-    if k_left == 0:
-        return m
-    if m == 0:
-        return 0
-    cap = m - 2 if m > 2 else 0
-    total = 0
-    if k_left <= cap:  # idx == 0 keeps the full budget
-        total += 1 + lds_subtree_nodes(m - 1, k_left)
-    if m > 1 and k_left - 1 <= cap:  # idx >= 1 each spend one discrepancy
-        total += (m - 1) * (1 + lds_subtree_nodes(m - 1, k_left - 1))
-    return total if total < _SAT else _SAT
-
-
-@lru_cache(maxsize=None)
-def dds_subtree_nodes(m: int, iteration: int, level: int) -> int:
-    """Node visits of ``_dfs_dds(m, iteration, level, ...)`` — excluding
-    the root's own placement, saturated at ``_SAT``."""
-    if level > iteration:
-        return m  # heuristic chain all the way down
-    if m == 0:
-        return 0
-    if level < iteration:
-        branch = m
-    else:  # level == iteration: the forced discrepancy
-        if m < 2:
-            return 0
-        branch = m - 1
-    total = branch * (1 + dds_subtree_nodes(m - 1, iteration, level + 1))
-    return total if total < _SAT else _SAT
-
-
-@dataclass(frozen=True)
-class SearchShard:
-    """One unit of the parallel partition: a path from an iteration's root
-    plus the entire subtree hanging below it.
-
-    ``path`` is the sequence of child *positions* (index among the
-    remaining jobs, exactly as the DFS loops enumerate them).  Replaying
-    the path restores the DFS state; only the **trailing** ``counted``
-    placements belong to this shard's node accounting — the leading ones
-    were already counted by an earlier shard that shares the prefix (the
-    first child of every split inherits the pending prefix visits).
-    """
-
-    iteration: int
-    path: tuple[int, ...]
-    counted: int
-    #: Serial node visits attributed to this shard: ``counted`` path
-    #: placements plus the whole subtree (saturated at ``_SAT``).
-    nodes: int
-    #: Position in the serial visit order (0-based, per search).
-    rank: int
-
-
-@dataclass(frozen=True)
-class ShardTask:
-    """A shard with its slice of the node budget assigned."""
-
-    shard: SearchShard
-    budget: int | None  # counted-visit budget; None = unlimited
-    #: Serial ``nodes_visited`` before this shard's first counted visit
-    #: (offsets shard-local anytime records into the global numbering).
-    offset: int
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """The budget allocation plus the serial-truncation bookkeeping."""
-
-    tasks: tuple[ShardTask, ...]
-    iterations_started: int
-    limit_hit: bool
-
-
-@dataclass(frozen=True)
-class ShardOutcome:
-    """What one executed shard reports back (picklable, job ids only)."""
-
-    rank: int
-    nodes_visited: int
-    leaves_evaluated: int
-    limit_hit: bool
-    #: Job ids of the shard's best leaf, in placement order; empty when the
-    #: shard never improved on its seeded incumbent.
-    best_order: tuple[int, ...]
-    best_starts: tuple[float, ...]  # aligned with ``best_order``
-    best_score: Score | None
-    #: Shard-local anytime records: ``(local nodes_visited, score)``.
-    improvements: tuple[tuple[int, Score], ...]
-
-
-class _ShardBudgetDone(Exception):
-    """Internal: shard enumeration has covered the whole node budget."""
-
-
-#: Never shard finer than this many nodes — below it, IPC dominates.
-_MIN_GRAIN = 512
-#: Aim for about this many shards per budgeted search (load-balance slack).
-_GRAIN_SHARDS = 64
-
-
-def shard_grain(node_limit: int | None, n: int) -> int:
-    """The target shard size.  A deliberate function of the *budget* only —
-    never of the worker count — so the partition (and therefore the result)
-    is identical for every ``search_workers``."""
-    if node_limit is None:
-        return _SAT  # exhaustive runs: one shard per iteration root
-    return max(_MIN_GRAIN, (node_limit - n) // _GRAIN_SHARDS)
-
-
-def enumerate_shards(
-    n: int, algorithm: str, grain: int, budget: int | None = None
-) -> list[SearchShard]:
-    """Cut iterations ``1..max_discrepancies(n)`` into shards of roughly
-    ``grain`` nodes, in exact serial visit order.
-
-    ``budget`` (the post-iteration-0 node budget) bounds the enumeration:
-    emission stops once the cumulative shard nodes *exceed* it — strictly,
-    so the first never-executed shard is still emitted and the planner can
-    read the serial truncation point (iteration, limit_hit) off it.
-    Without the bound, factorial iterations would unravel into unbounded
-    shard lists.
-    """
-    if algorithm not in _ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    if grain < 1:
-        raise ValueError("grain must be >= 1")
-    shards: list[SearchShard] = []
-    covered = 0
-
-    def emit(iteration: int, path: tuple[int, ...], counted: int, sub: int) -> None:
-        nonlocal covered
-        nodes = counted + sub
-        if nodes > _SAT:
-            nodes = _SAT
-        shards.append(SearchShard(iteration, path, counted, nodes, len(shards)))
-        covered += nodes
-        if budget is not None and covered > budget:
-            raise _ShardBudgetDone
-
-    def split_lds(
-        iteration: int, m: int, k_left: int, path: tuple[int, ...], counted: int
-    ) -> None:
-        sub = lds_subtree_nodes(m, k_left)
-        if counted + sub <= grain or k_left == 0 or m <= 1:
-            emit(iteration, path, counted, sub)
-            return
-        cap = m - 2 if m > 2 else 0
-        first = True
-        for idx in range(m):
-            child_k = k_left if idx == 0 else k_left - 1
-            if child_k > cap:
-                continue
-            split_lds(
-                iteration, m - 1, child_k, path + (idx,), counted + 1 if first else 1
-            )
-            first = False
-
-    def split_dds(
-        iteration: int, m: int, level: int, path: tuple[int, ...], counted: int
-    ) -> None:
-        sub = dds_subtree_nodes(m, iteration, level)
-        if counted + sub <= grain or level > iteration or m <= 1:
-            emit(iteration, path, counted, sub)
-            return
-        lo = 1 if level == iteration else 0
-        first = True
-        for idx in range(lo, m):
-            split_dds(
-                iteration, m - 1, level + 1, path + (idx,), counted + 1 if first else 1
-            )
-            first = False
-
-    try:
-        for iteration in range(1, max_discrepancies(n) + 1):
-            if algorithm == "lds":
-                split_lds(iteration, n, iteration, (), 0)
-            else:
-                split_dds(iteration, n, 1, (), 0)
-    except _ShardBudgetDone:
-        pass
-    return shards
-
-
-def plan_shards(
-    shards: Sequence[SearchShard],
-    node_limit: int | None,
-    root_nodes: int,
-    max_iterations: int,
-) -> ShardPlan:
-    """Hand each shard, in serial order, the budget slice the serial engine
-    would have spent there.
-
-    ``root_nodes`` is iteration 0's node count (always fully spent in the
-    leader — the anytime guarantee).  The walk also derives the serial
-    run's ``iterations_started``/``limit_hit``: the serial engine raises at
-    the first *checked* visit once the budget is gone, which is the first
-    counted visit of the first unfunded shard.
-    """
-    tasks: list[ShardTask] = []
-    if node_limit is None:
-        offset = root_nodes
-        for shard in shards:
-            tasks.append(ShardTask(shard, None, offset))
-            offset = min(_SAT, offset + shard.nodes)
-        return ShardPlan(tuple(tasks), max_iterations, False)
-    offset = root_nodes
-    remaining = node_limit - root_nodes
-    for shard in shards:
-        if remaining <= 0:
-            # Serial raises at this shard's first visit, inside its
-            # iteration — which run() had already counted as started.
-            return ShardPlan(tuple(tasks), shard.iteration + 1, True)
-        budget = shard.nodes if shard.nodes < remaining else remaining
-        tasks.append(ShardTask(shard, budget, offset))
-        offset += budget
-        remaining -= budget
-        if budget < shard.nodes:
-            return ShardPlan(tuple(tasks), shard.iteration + 1, True)
-    return ShardPlan(tuple(tasks), max_iterations, False)
-
-
-def merge_shard_outcomes(
-    base: SearchResult,
-    plan: ShardPlan,
-    outcomes: Sequence[ShardOutcome],
-    jobs_by_id: Mapping[int, Job],
-    record_anytime: bool,
-) -> SearchResult:
-    """Fold shard outcomes (any arrival order) into the final result.
-
-    Processing in serial ``rank`` order with a strict-improvement
-    comparison reproduces the serial engine's tie-break: the serial DFS
-    keeps the *first* strict minimum it meets, so among equal-scoring
-    leaves the one with the lowest serial rank must win — and does,
-    because a later equal score fails ``score < best``.  Shards were
-    seeded with the iteration-0 incumbent, so a shard only reports a best
-    when it strictly beat everything at or before it.
-    """
-    ordered = sorted(outcomes, key=lambda o: o.rank)
-    offsets = {task.shard.rank: task.offset for task in plan.tasks}
-    best_score: Any = base.best_score
-    best_order = base.best_order
-    best_starts = base.best_starts
-    improved = False
-    anytime: list[tuple[int, Score]] | None = None
-    if record_anytime:
-        anytime = list(base.anytime) if base.anytime is not None else []
-    running: Any = base.best_score
-    nodes = base.nodes_visited
-    leaves = base.leaves_evaluated
-    for outcome in ordered:
-        nodes += outcome.nodes_visited
-        leaves += outcome.leaves_evaluated
-        if anytime is not None:
-            offset = offsets[outcome.rank]
-            for local, score in outcome.improvements:
-                # Shard-local improvements are a superset of the global
-                # ones (each shard only sees its seed, not siblings');
-                # re-filter against the running global best.
-                if score < running:
-                    anytime.append((offset + local, score))
-                    running = score
-        if outcome.best_order and outcome.best_score is not None:
-            if outcome.best_score < best_score:
-                best_score = outcome.best_score
-                best_order = tuple(jobs_by_id[j] for j in outcome.best_order)
-                best_starts = dict(zip(outcome.best_order, outcome.best_starts))
-                improved = True
-    return SearchResult(
-        best_order=best_order,
-        best_starts=best_starts,
-        best_score=best_score,
-        nodes_visited=nodes,
-        leaves_evaluated=leaves,
-        iterations_started=plan.iterations_started,
-        limit_hit=plan.limit_hit,
-        improved_after_first=improved,
-        anytime=anytime,
-    )

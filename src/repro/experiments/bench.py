@@ -13,9 +13,6 @@ Each configuration is timed for:
   the ``"reference"`` executable spec; see :mod:`repro.core.search`),
   asserted bit-identical — a perf number measured against a wrong result
   is worthless;
-- the ``"parallel"`` engine at ``search_workers`` workers, *also* asserted
-  bit-identical to ``"fast"`` (its determinism contract holds at any
-  budget);
 - a ``prune=True`` ablation of the fast engine, measuring what the
   branch-and-bound extension buys (no identity assert: pruning legitimately
   changes node accounting);
@@ -25,9 +22,8 @@ Each configuration is timed for:
   pure-python report is never mistaken for a compiled one.
 
 The report records nodes/sec and wall seconds per decision per row, plus
-per-config speedup ratios: ``fast`` over ``reference``, ``parallel[w=N]``
-over ``fast``, ``prune`` over ``fast``, and ``compiled`` over
-``reference`` (the compiled floor, ``COMPILED_FLOOR_RATIO`` in
+per-config speedup ratios: ``fast`` over ``reference``, ``prune`` over
+``fast``, and ``compiled`` over ``reference`` (the compiled floor, ``COMPILED_FLOOR_RATIO`` in
 ``benchmarks/bench_search_hotpath.py``, is stated against the reference
 spec).  A ``queue_length`` section times the reference and
 compiled engines on DDS/lxf at L = 10K over longer queues
@@ -62,14 +58,16 @@ from repro.util.rng import RngStream
 from repro.util.timeunits import HOUR
 
 #: Report format version (bump on incompatible layout changes).
-#: v2: per-row ``prune``/``search_workers`` fields, parallel-engine rows,
+#: v2: per-row ``prune``/worker-count fields, parallel-engine rows,
 #: prune-ablation rows, and the new speedup key families.
 #: v3: honest ``compiled_available`` field, compiled-engine rows and the
 #: ``:compiled`` speedup family (present only when the extension is
 #: built), and the end-to-end ``e2e`` decisions/sec section (simulator
 #: replay, not just the raw node loop) with its own tolerance band.
 #: v4: the ``queue_length`` rows and their ``queue_speedups`` ratios.
-SCHEMA = "repro-bench-search/v4"
+#: v5: the parallel-engine rows, the ``:parallel[w=N]`` speedup family
+#: and the worker-count fields are gone with the engine.
+SCHEMA = "repro-bench-search/v5"
 
 #: The two flagship policy shapes the paper benchmarks (§2.3, §3).
 POLICIES: tuple[tuple[str, str], ...] = (("dds", "lxf"), ("lds", "fcfs"))
@@ -147,15 +145,10 @@ def time_search(
     engine: str,
     repeats: int = 3,
     prune: bool = False,
-    search_workers: int = 1,
 ) -> tuple[SearchResult, float]:
     """Run the search ``repeats`` times; return (result, best wall seconds)."""
     searcher = DiscrepancySearch(
-        algorithm,
-        node_limit=node_limit,
-        engine=engine,
-        prune=prune,
-        search_workers=search_workers,
+        algorithm, node_limit=node_limit, engine=engine, prune=prune
     )
     best = float("inf")
     result: SearchResult | None = None
@@ -252,7 +245,6 @@ def time_queue_lengths(
 def run_bench(
     quick: bool = False,
     repeats: int = 3,
-    search_workers: int = 4,
     progress: Callable[[str], None] | None = None,
     limits: tuple[int, ...] | None = None,
 ) -> dict[str, Any]:
@@ -263,7 +255,7 @@ def run_bench(
     runs in milliseconds); by default ``quick`` picks between
     :data:`QUICK_LIMITS` and :data:`FULL_LIMITS`.
     """
-    from repro.util.workerpool import available_cores, get_pool
+    from repro.util.workerpool import available_cores
 
     if limits is None:
         limits = QUICK_LIMITS if quick else FULL_LIMITS
@@ -271,10 +263,6 @@ def run_bench(
     compiled_available = have_compiled()
     configs: list[dict[str, Any]] = []
     speedups: dict[str, float] = {}
-    if search_workers > 1:
-        # Spawn the persistent pool up front so its one-time fork cost
-        # never lands inside a timed run.
-        get_pool(search_workers).ensure_started()
     for algorithm, heuristic in POLICIES:
         problem = build_problem(heuristic)
         policy_name = f"{algorithm.upper()}/{heuristic}/dynB"
@@ -285,24 +273,22 @@ def run_bench(
                 result: SearchResult,
                 seconds: float,
                 prune: bool = False,
-                workers: int | None = None,
             ) -> None:
-                entry: dict[str, Any] = {
-                    "policy": policy_name,
-                    "algorithm": algorithm,
-                    "heuristic": heuristic,
-                    "bound": "dynB",
-                    "node_limit": node_limit,
-                    "engine": engine,
-                    "prune": prune,
-                    "nodes_visited": result.nodes_visited,
-                    "leaves_evaluated": result.leaves_evaluated,
-                    "seconds_per_decision": seconds,
-                    "nodes_per_second": result.nodes_visited / seconds,
-                }
-                if workers is not None:
-                    entry["search_workers"] = workers
-                configs.append(entry)
+                configs.append(
+                    {
+                        "policy": policy_name,
+                        "algorithm": algorithm,
+                        "heuristic": heuristic,
+                        "bound": "dynB",
+                        "node_limit": node_limit,
+                        "engine": engine,
+                        "prune": prune,
+                        "nodes_visited": result.nodes_visited,
+                        "leaves_evaluated": result.leaves_evaluated,
+                        "seconds_per_decision": seconds,
+                        "nodes_per_second": result.nodes_visited / seconds,
+                    }
+                )
 
             per_engine: dict[str, tuple[SearchResult, float]] = {}
             for engine in ("fast", "reference"):
@@ -325,28 +311,6 @@ def run_bench(
                 f"({speedups[key]:.2f}x)"
             )
 
-            # Parallel engine: same bit-identity contract as the serial
-            # engines — a parallel speedup over a different answer would
-            # be meaningless.
-            par_result, par_seconds = time_search(
-                problem,
-                algorithm,
-                node_limit,
-                "parallel",
-                repeats=repeats,
-                search_workers=search_workers,
-            )
-            row("parallel", par_result, par_seconds, workers=search_workers)
-            if _fingerprint(par_result) != _fingerprint(fast[0]):
-                raise AssertionError(
-                    f"parallel engine disagrees with fast on {policy_name} "
-                    f"at L={node_limit} with {search_workers} workers: "
-                    "results must be bit-identical"
-                )
-            par_key = f"{key}:parallel[w={search_workers}]"
-            speedups[par_key] = fast[1] / par_seconds
-            say(f"{par_key}: {speedups[par_key]:.2f}x over fast")
-
             # Branch-and-bound ablation: prune=True legitimately changes
             # node accounting (it skips dominated subtrees), so there is
             # no identity assert — the measurement is wall time to decide.
@@ -367,7 +331,7 @@ def run_bench(
             # the extension is importable — the ``compiled_available``
             # field below says which kind of report this is.  The ratio
             # is over *reference* (the compiled floor's baseline),
-            # unlike the over-fast ":parallel"/":prune" families.
+            # unlike the over-fast ":prune" family.
             if compiled_available:
                 comp_result, comp_seconds = time_search(
                     problem, algorithm, node_limit, "compiled", repeats=repeats
@@ -407,9 +371,7 @@ def run_bench(
         "benchmark": "search-hotpath-30-jobs",
         "quick": quick,
         "repeats": repeats,
-        "search_workers": search_workers,
-        # Parallel speedups only mean anything relative to this: on a
-        # single-core builder the parallel rows record an honest slowdown.
+        # Honest host field: raw nodes/sec and e2e rows move with it.
         "cores": available_cores(),
         # Honest capability flag (cf. ``cores``): whether the compiled
         # kernel was importable when this report was measured — rows and
@@ -479,7 +441,7 @@ def check_bench(
                     f"{committed_ratio:.2f}x"
                 )
             continue
-        if ":" in key:  # parallel/prune families move with core count
+        if ":" in key:  # the prune ablation is measured, never banded
             continue
         committed_ratio = committed["speedups"].get(key)
         if committed_ratio is None:
@@ -532,7 +494,6 @@ def check_bench(
             row["node_limit"],
             row["engine"],
             row["prune"],
-            row.get("search_workers"),
         )
 
     committed_rows = {rowkey(r): r for r in committed["configs"]}
@@ -555,16 +516,10 @@ def write_bench(
     path: str | Path,
     quick: bool = False,
     repeats: int = 3,
-    search_workers: int = 4,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, Any]:
     """Run the benchmark and write the JSON report to ``path``."""
-    report = run_bench(
-        quick=quick,
-        repeats=repeats,
-        search_workers=search_workers,
-        progress=progress,
-    )
+    report = run_bench(quick=quick, repeats=repeats, progress=progress)
     out = Path(path)
     # Atomic: a crash mid-write must not leave a torn BENCH_search.json
     # that downstream tooling would try to parse.

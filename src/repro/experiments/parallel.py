@@ -120,26 +120,16 @@ class PolicySpec:
     ``lxf-bf``, ``lookahead``, ``selective``, ``dds/lxf/dynB``,
     ``lds/fcfs/fixB50h``, ...  ``node_limit`` only matters for search
     specs; pass 0 for backfill policies so cache keys don't fragment.
-    ``search_workers > 1`` runs each decision's search on the parallel
-    engine — the results (and cache content) are invariant to it, but it
-    does enter the cache key, so sweeps should pick one value and stick
-    with it.
     """
 
     spec: str
     node_limit: int = 1000
     use_actual_runtime: bool = True
-    search_workers: int = 1
 
     def build(self) -> SchedulingPolicy:
         from repro.cli import parse_policy  # deferred: cli imports experiments
 
-        return parse_policy(
-            self.spec,
-            self.node_limit,
-            self.use_actual_runtime,
-            search_workers=self.search_workers,
-        )
+        return parse_policy(self.spec, self.node_limit, self.use_actual_runtime)
 
 
 #: Alternative to :class:`PolicySpec`: any zero-argument policy factory.
@@ -455,27 +445,6 @@ def resolve_retries(value: "int | str | None" = None) -> int:
         return DEFAULT_RUN_RETRIES
 
 
-def clamp_run_workers(
-    run_workers: int, search_workers: int, cores: "int | None" = None
-) -> int:
-    """Cap the run-level pool when decision-level search pools are nested.
-
-    Every run worker that simulates a ``search_workers > 1`` policy spawns
-    its own search pool, so the process count is the *product* of the two
-    levels.  Keep ``run_workers x search_workers <= cores``: run-level
-    parallelism scales near-linearly (runs are independent), so it is the
-    search level that keeps its requested width and the run level that
-    yields.  Never clamps below 1, and never touches purely serial setups.
-    """
-    if run_workers <= 1 or search_workers <= 1:
-        return max(1, run_workers)
-    if cores is None:
-        from repro.util.workerpool import available_cores
-
-        cores = available_cores()
-    return max(1, min(run_workers, cores // search_workers))
-
-
 def run_grid(
     specs: Iterable[RunSpec],
     max_workers: "int | None" = None,
@@ -496,13 +465,6 @@ def run_grid(
     specs = list(specs)
     started = time.perf_counter()
     workers = resolve_workers(max_workers)
-    # Nested-concurrency cap: specs whose policies parallelize their own
-    # per-decision search multiply the process count.
-    nested_search = max(
-        (getattr(spec.policy, "search_workers", 1) for spec in specs),
-        default=1,
-    )
-    workers = clamp_run_workers(workers, nested_search)
     entries: "list[PolicyRun | RunError | None]" = [None] * len(specs)
     keys: list[str | None] = [None] * len(specs)
 

@@ -9,9 +9,8 @@ the collection window on the per-decision hot path while still
 exercising genuine queue states rather than a synthetic loop.
 
 The slice is cut with a wrapper policy that counts decision points and
-raises :class:`SliceComplete` when the budget is spent; the simulation's
-normal cleanup hooks still run (the engine guarantees
-``on_simulation_end``), and the profiler stops on the way out.
+raises :class:`SliceComplete` when the budget is spent, and the profiler
+stops on the way out.
 """
 
 from __future__ import annotations
@@ -62,12 +61,6 @@ class _SlicedPolicy(SchedulingPolicy):
 
     def on_finish(self, job: Job, now: float) -> None:
         self._inner.on_finish(job, now)
-
-    def on_simulation_begin(self) -> None:
-        self._inner.on_simulation_begin()
-
-    def on_simulation_end(self) -> None:
-        self._inner.on_simulation_end()
 
     def reset(self) -> None:
         self.decisions = 0

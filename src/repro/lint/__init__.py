@@ -3,8 +3,8 @@
 Run as ``python -m repro.lint [paths...]`` or through
 ``tests/test_simlint.py`` (which also keeps the real tree clean in CI).
 See :mod:`repro.lint.rules` for the syntactic rule set (SIM001-SIM005),
-:mod:`repro.lint.flowrules` for the dataflow rules (SIM006-SIM010) built
-on :mod:`repro.lint.cfg` / :mod:`repro.lint.dataflow`, and
+:mod:`repro.lint.flowrules` for the dataflow rules (SIM006-SIM008,
+SIM010) built on :mod:`repro.lint.cfg` / :mod:`repro.lint.dataflow`, and
 :mod:`repro.lint.engine` for suppression and baseline syntax.
 """
 

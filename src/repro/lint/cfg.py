@@ -1,7 +1,7 @@
 """Per-function control-flow graphs over ``ast``.
 
-simlint's flow-sensitive rules (SIM006-SIM010, :mod:`repro.lint.flowrules`)
-need to know *which definition of a name an expression actually reads* —
+simlint's flow-sensitive rules (SIM006-SIM008 and SIM010,
+:mod:`repro.lint.flowrules`) need to know *which definition of a name an expression actually reads* —
 ``t = time.time(); score += t`` is a determinism bug even though neither
 line is one in isolation.  That question is answered by reaching
 definitions over a control-flow graph, and this module builds the graph.

@@ -26,8 +26,8 @@ Two escape hatches, with different jobs:
 
 Both run the same rule set: the per-statement rules of
 :mod:`repro.lint.rules` (SIM001-SIM005) and the dataflow rules of
-:mod:`repro.lint.flowrules` (SIM006-SIM010) built on the CFG/def-use
-framework in :mod:`repro.lint.cfg` / :mod:`repro.lint.dataflow`.
+:mod:`repro.lint.flowrules` (SIM006-SIM008, SIM010) built on the
+CFG/def-use framework in :mod:`repro.lint.cfg` / :mod:`repro.lint.dataflow`.
 """
 
 from __future__ import annotations

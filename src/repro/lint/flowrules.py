@@ -1,4 +1,4 @@
-"""The flow-sensitive simlint rules (SIM006-SIM010).
+"""The flow-sensitive simlint rules (SIM006-SIM008, SIM010).
 
 Where :mod:`repro.lint.rules` pattern-matches single statements, the rules
 here follow *values* through the function via
@@ -6,7 +6,7 @@ here follow *values* through the function via
 
 - **SIM006 — determinism taint.**  A value originating from wall-clock,
   global-RNG, ``os.environ``/PID, or similar per-process sources must not
-  flow into a search score, a shard plan, or a ``SearchResult`` — however
+  flow into a search score or a ``SearchResult`` — however
   many local assignments it launders through.
 - **SIM007 — unordered iteration.**  Iterating a ``set`` (or an unsorted
   ``os.listdir``/``glob`` result) yields a process-dependent order; when
@@ -14,9 +14,6 @@ here follow *values* through the function via
 - **SIM008 — pickle-boundary safety.**  Lambdas, nested functions,
   generators, open handles and module-level mutable state must not cross
   into worker-pool submissions or checkpoint snapshots.
-- **SIM009 — blackboard lock discipline.**  Every read or write of the
-  shared-memory incumbent blackboard must happen under its
-  ``get_lock()``.
 - **SIM010 — fault-site conformance.**  Every fault-injection call names
   a site declared in :data:`repro.util.faults.SITES`, so a typo cannot
   make a chaos plan silently no-op.
@@ -29,7 +26,7 @@ and output formats all live in :mod:`repro.lint.engine`.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.lint.cfg import Element
 from repro.lint.dataflow import (
@@ -78,9 +75,6 @@ _SCORE_WORDS = {"score", "scores", "incumbent", "objective"}
 #: Constructors whose fields are the replay-visible search outcome.
 _RESULT_CTORS = {
     "SearchResult",
-    "ShardOutcome",
-    "ShardPlan",
-    "ShardTask",
     "ScheduleScore",
 }
 
@@ -378,114 +372,6 @@ def _check_sim008(
 
 
 # ----------------------------------------------------------------------
-# SIM009: blackboard lock discipline
-# ----------------------------------------------------------------------
-_BOARD_PARAM_NAMES = {"board", "blackboard"}
-
-
-def _board_names(unit: FunctionUnit, inherited: set[str]) -> set[str]:
-    names = set(inherited)
-    names |= _BOARD_PARAM_NAMES & set(unit.dataflow.param_defs)
-    for element in unit.dataflow.elements():
-        for name, value in element.defs:
-            if isinstance(value, ast.Call):
-                callee = dotted_name(value.func) or ""
-                if callee.endswith("worker_blackboard"):
-                    names.add(name)
-            elif isinstance(value, ast.Attribute) and value.attr == "blackboard":
-                names.add(name)
-            # Conditional aliases (x = pool.blackboard if share else None)
-            elif isinstance(value, ast.IfExp):
-                for side in (value.body, value.orelse):
-                    if isinstance(side, ast.Call) and (
-                        dotted_name(side.func) or ""
-                    ).endswith("worker_blackboard"):
-                        names.add(name)
-                    elif isinstance(side, ast.Attribute) and side.attr == "blackboard":
-                        names.add(name)
-    return names
-
-
-def _is_board_expr(node: ast.expr, boards: set[str]) -> str | None:
-    if isinstance(node, ast.Name) and node.id in boards:
-        return node.id
-    if isinstance(node, ast.Attribute) and node.attr == "blackboard":
-        return dotted_name(node)
-    return None
-
-
-class _LockWalker(ast.NodeVisitor):
-    """Lexical walk of one function body tracking held ``get_lock()``s."""
-
-    def __init__(self, boards: "Sequence[str] | set[str]") -> None:
-        self.boards = boards
-        self.locked: list[str] = []
-        self.findings: list[RawFinding] = []
-
-    def visit_With(self, node: ast.With) -> None:
-        acquired: list[str] = []
-        for item in node.items:
-            expr = item.context_expr
-            if (
-                isinstance(expr, ast.Call)
-                and isinstance(expr.func, ast.Attribute)
-                and expr.func.attr == "get_lock"
-            ):
-                holder = dotted_name(expr.func.value)
-                if holder is not None:
-                    acquired.append(holder)
-        self.locked.extend(acquired)
-        for stmt in node.body:
-            self.visit(stmt)
-        if acquired:
-            del self.locked[-len(acquired) :]
-
-    visit_AsyncWith = visit_With  # type: ignore[assignment]
-
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        board = _is_board_expr(node.value, self.boards)
-        if board is not None and board not in self.locked:
-            self.findings.append(
-                RawFinding(
-                    "SIM009",
-                    node.lineno,
-                    node.col_offset,
-                    f"blackboard access `{board}[...]` outside "
-                    f"`with {board}.get_lock():` — torn reads/writes race "
-                    "the incumbent broadcast",
-                )
-            )
-        self.generic_visit(node)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        pass  # nested functions are their own units
-
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-    visit_Lambda = visit_FunctionDef  # type: ignore[assignment]
-
-
-def _check_sim009(
-    units: list[FunctionUnit], tree: ast.Module
-) -> Iterator[RawFinding]:
-    boards_by_unit: dict[int, set[str]] = {}
-    for unit in units:
-        inherited = (
-            boards_by_unit.get(id(unit.parent), set()) if unit.parent else set()
-        )
-        boards = _board_names(unit, inherited)
-        boards_by_unit[id(unit)] = boards
-        if not boards:
-            continue
-        walker = _LockWalker(sorted(boards))
-        body = tree.body if unit.is_module else unit.node.body if unit.node else []
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            walker.visit(stmt)
-        yield from walker.findings
-
-
-# ----------------------------------------------------------------------
 # SIM010: fault-site registry conformance
 # ----------------------------------------------------------------------
 #: Frozen fallback if the live registry cannot be imported (e.g. linting
@@ -588,7 +474,7 @@ def _check_sim010(
 # Driver
 # ----------------------------------------------------------------------
 def run_flow_rules(tree: ast.Module, ctx: LintContext) -> list[RawFinding]:
-    """Apply SIM006-SIM010 over one module's dataflow units."""
+    """Apply SIM006-SIM008, SIM010 over one module's dataflow units."""
     units = analyze_module(tree)
     resolve = ctx.resolve
     findings: list[RawFinding] = []
@@ -609,5 +495,4 @@ def run_flow_rules(tree: ast.Module, ctx: LintContext) -> list[RawFinding]:
         taint8 = TaintAnalysis(unit, pickle_policy, resolve)
         findings.extend(_check_sim008(unit, taint8, ctx, mutable_globals))
         findings.extend(_check_sim010(unit, ctx, sites))
-    findings.extend(_check_sim009(units, tree))
     return findings

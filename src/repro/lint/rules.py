@@ -97,7 +97,7 @@ RULES: tuple[Rule, ...] = (
         "no determinism taint into scores/results",
         "values from wall-clock, global RNG, os.environ or PID sources "
         "must not flow (through any number of assignments) into search "
-        "scores, shard plans, or SearchResult fields",
+        "scores or SearchResult fields",
     ),
     Rule(
         "SIM007",
@@ -112,13 +112,6 @@ RULES: tuple[Rule, ...] = (
         "lambdas, nested functions, generators, open handles and "
         "module-level mutable state cannot round-trip through worker-pool "
         "submissions or LoopState checkpoint snapshots",
-    ),
-    Rule(
-        "SIM009",
-        "blackboard access only under its lock",
-        "every read/write of the shared-memory incumbent blackboard must "
-        "sit inside `with board.get_lock():` — unlocked slot access races "
-        "the generation fence",
     ),
     Rule(
         "SIM010",

@@ -270,6 +270,8 @@ class DecisionLadder:
         pool = self._pool()
         if not pool.ensure_started(warm=True):
             raise RuntimeError("worker pool unavailable")
+        if faults.should_fire("worker.crash"):
+            pool.crash_worker()
         future = pool.submit(
             _pool_decide, self.policy, now, waiting, running, cluster
         )
@@ -312,14 +314,8 @@ class DecisionLadder:
                 self.config.min_anytime_budget,
             )
         prev_limit = searcher.time_limit_seconds
-        prev_engine = searcher.engine
         try:
             searcher.time_limit_seconds = budget
-            if searcher.engine == "parallel":
-                # The anytime time limit is incompatible with the parallel
-                # engine; the sequential fast engine honours it.
-                searcher.engine = "fast"
             return self.policy.decide(now, waiting, running, cluster)
         finally:
             searcher.time_limit_seconds = prev_limit
-            searcher.engine = prev_engine

@@ -385,7 +385,7 @@ class DecisionService:
     # Shutdown
     # ------------------------------------------------------------------
     async def close(self, final_snapshot: bool = True) -> None:
-        """Drain every queue, stop consumers, snapshot and release tenants."""
+        """Drain every queue, stop consumers, and snapshot every tenant."""
         if self._closed:
             return
         self._closed = True
@@ -393,10 +393,9 @@ class DecisionService:
             if tenant.consumer is not None and not tenant.consumer.done():
                 await tenant.queue.put(None)
                 await tenant.consumer
-        for tenant_id, tenant in sorted(self._tenants.items()):
-            if final_snapshot:
+        if final_snapshot:
+            for tenant_id in sorted(self._tenants):
                 self.snapshot_now(tenant_id)
-            tenant.engine.close()
 
     async def __aenter__(self) -> "DecisionService":
         return self

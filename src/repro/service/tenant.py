@@ -88,7 +88,6 @@ class TenantEngine:
         self.decided_through: float = float("-inf")
         policy.reset()
         policy.runtime_source.reset()
-        policy.on_simulation_begin()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -108,10 +107,6 @@ class TenantEngine:
     @property
     def completed_jobs(self) -> list[Job]:
         return self.loop_state.completed
-
-    def close(self) -> None:
-        """Release policy-held resources (mirrors the batch loop's exit)."""
-        self.sim.policy.on_simulation_end()
 
     # ------------------------------------------------------------------
     # Request validation (pure — raises before any state is mutated)
@@ -277,6 +272,5 @@ class TenantEngine:
         engine.jobs = jobs
         engine.decided_through = float(record["decided_through"])  # type: ignore[arg-type]
         # Mirror the batch resume path: the policy's mid-run state rode
-        # along in the snapshot, so no reset — only re-acquire resources.
-        sim.policy.on_simulation_begin()
+        # along in the snapshot, so no reset.
         return engine

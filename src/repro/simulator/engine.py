@@ -213,18 +213,8 @@ class Simulation:
             prev_time=events.peek_time() or 0.0,
         )
 
-    def _execute(self, state: LoopState) -> SimulationResult:
+    def _execute(self, st: LoopState) -> SimulationResult:
         wall_start = _wallclock.perf_counter()
-        # Lifecycle hooks bracket the whole event loop: policies that hold
-        # process-wide resources (the parallel search's persistent worker
-        # pool) acquire them once per simulation, not per decision.
-        self.policy.on_simulation_begin()
-        try:
-            return self._run_loop(wall_start, state)
-        finally:
-            self.policy.on_simulation_end()
-
-    def _run_loop(self, wall_start: float, st: LoopState) -> SimulationResult:
         ckpt = self.checkpoint
         win_lo, win_hi = self.window
 

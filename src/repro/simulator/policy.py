@@ -91,19 +91,6 @@ class SchedulingPolicy(abc.ABC):
     def on_finish(self, job: Job, now: float) -> None:
         """Hook: ``job`` completed at ``now``.  Default: no-op."""
 
-    def on_simulation_begin(self) -> None:
-        """Hook: a simulation is about to run its event loop.
-
-        Policies acquire expensive process-wide resources here — e.g. the
-        search policy pre-spawns its persistent worker pool so the fork
-        cost lands before the first decision, not inside it.  Default:
-        no-op.
-        """
-
-    def on_simulation_end(self) -> None:
-        """Hook: the event loop finished (or raised).  Always called when
-        :meth:`on_simulation_begin` was.  Default: no-op."""
-
     def reset(self) -> None:
         """Clear any per-run state so a policy object can be reused."""
 

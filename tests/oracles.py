@@ -14,7 +14,7 @@ Three oracle layers validate the search engines (see ``docs/testing.md``):
    the fixed :func:`build_problem` decision point (re-exported from
    :mod:`repro.experiments.bench`) for head-to-head tests.
 
-``test_search_fastpath.py``, ``test_parallel_search.py``,
+``test_search_fastpath.py``, ``test_compiled_kernel.py``,
 ``test_engine_conformance.py`` and ``test_exact.py`` all draw from here —
 one definition of "identical" and one of "optimal", not four.
 """
@@ -55,7 +55,7 @@ __all__ = [
 #: silently falls back to ``"fast"``, which would make its inclusion
 #: vacuous rather than wrong (the fallback itself is covered explicitly
 #: in ``test_compiled_kernel.py``).
-CONFORMANCE_ENGINES: tuple[str, ...] = ("fast", "reference", "parallel") + (
+CONFORMANCE_ENGINES: tuple[str, ...] = ("fast", "reference") + (
     ("compiled",) if have_compiled() else ()
 )
 
@@ -101,7 +101,6 @@ class RecordingSearcher:
 
 def replay_workload(
     engine: str,
-    workers: int = 1,
     algorithm: str = "dds",
     heuristic: str = "lxf",
     node_limit: int = 300,
@@ -123,7 +122,6 @@ def replay_workload(
         heuristic=heuristic,
         node_limit=node_limit,
         engine=engine,
-        search_workers=workers,
     )
     recorder = RecordingSearcher(policy.searcher)
     policy.searcher = recorder  # type: ignore[assignment]

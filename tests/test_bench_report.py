@@ -4,10 +4,7 @@
 ``BENCH_search.json`` (and the README table derived from it) flows
 through it, so its row families, identity asserts, and the ``--check``
 tolerance band get tier-1 coverage here — at L small enough to run in
-milliseconds.  ``search_workers=1`` keeps the parallel rows on the
-in-process sharding path, which is also exactly what a 1-core CI host
-measures: the ``cores`` field must then report that host honestly so the
-archived parallel "speedups" are read as the slowdowns they are.
+milliseconds.
 """
 
 from __future__ import annotations
@@ -28,18 +25,17 @@ TOY_LIMITS = (40, 80)
 
 @pytest.fixture(scope="module")
 def report():
-    return run_bench(repeats=1, search_workers=1, limits=TOY_LIMITS)
+    return run_bench(repeats=1, limits=TOY_LIMITS)
 
 
 def test_report_has_every_row_family(report):
-    """Per (policy, L): fast, reference, parallel, prune-ablation — and a
+    """Per (policy, L): fast, reference, prune-ablation — and a
     compiled row exactly when the kernel is importable on this host."""
     assert report["schema"] == bench_mod.SCHEMA
     rows = report["configs"]
     expected = [
         ("fast", False),
         ("fast", True),
-        ("parallel", False),
         ("reference", False),
     ]
     if have_compiled():
@@ -55,25 +51,19 @@ def test_report_has_every_row_family(report):
             assert engines == expected
     for row in rows:
         assert row["nodes_per_second"] > 0
-        if row["engine"] == "parallel":
-            assert row["search_workers"] == 1
 
 
 def test_cores_field_reports_this_host_honestly(report):
-    """The report pins the measuring host's usable core count — on a
-    1-core builder the parallel rows then read as the honest slowdowns
-    they are, not as broken speedups."""
+    """The report pins the measuring host's usable core count, so raw
+    nodes/sec and e2e rows are read against the host that measured them."""
     assert report["cores"] == available_cores()
-    assert report["search_workers"] == 1
 
 
 def test_speedup_key_families_are_complete(report):
     plain = {k for k in report["speedups"] if ":" not in k}
-    parallel = {k for k in report["speedups"] if ":parallel" in k}
     prune = {k for k in report["speedups"] if ":prune" in k}
     compiled = {k for k in report["speedups"] if k.endswith(":compiled")}
     assert len(plain) == len(POLICIES) * len(TOY_LIMITS)
-    assert len(parallel) == len(plain)
     assert len(prune) == len(plain)
     assert len(compiled) == (len(plain) if have_compiled() else 0)
     assert all(v > 0 for v in report["speedups"].values())
@@ -116,26 +106,10 @@ def test_queue_length_rows_cover_long_queues(report):
     assert all(key.endswith(":compiled") for key in ratios)
 
 
-def test_parallel_identity_assert_fires_on_divergence(monkeypatch):
-    """A parallel result that differs from fast by one field must abort
-    the report — a speedup over a different answer is meaningless."""
-    real = bench_mod.time_search
-
-    def skewed(problem, algorithm, node_limit, engine, **kwargs):
-        result, seconds = real(problem, algorithm, node_limit, engine, **kwargs)
-        if engine == "parallel":
-            result.nodes_visited += 1
-        return result, seconds
-
-    monkeypatch.setattr(bench_mod, "time_search", skewed)
-    with pytest.raises(AssertionError, match="parallel engine disagrees"):
-        run_bench(repeats=1, search_workers=1, limits=(40,))
-
-
 @pytest.mark.skipif(not have_compiled(), reason="compiled kernel not built")
 def test_compiled_identity_assert_fires_on_divergence(monkeypatch):
-    """Same contract as the parallel rows: a compiled result differing
-    from fast by one field aborts the report."""
+    """A compiled result differing from fast by one field aborts the
+    report — a speedup over a different answer is meaningless."""
     real = bench_mod.time_search
 
     def skewed(problem, algorithm, node_limit, engine, **kwargs):
@@ -146,7 +120,7 @@ def test_compiled_identity_assert_fires_on_divergence(monkeypatch):
 
     monkeypatch.setattr(bench_mod, "time_search", skewed)
     with pytest.raises(AssertionError, match="compiled engine disagrees"):
-        run_bench(repeats=1, search_workers=1, limits=(40,))
+        run_bench(repeats=1, limits=(40,))
 
 
 def test_check_bench_accepts_itself(report):
@@ -166,11 +140,11 @@ def test_check_bench_flags_collapsed_throughput(report):
 
 
 def test_check_bench_ignores_machine_dependent_families(report):
-    """Parallel/prune ratios move with the host's core count; the serial
-    fast/reference and compiled/reference families are the banded ones."""
+    """The prune ablation is measured, never banded; the fast/reference
+    and compiled/reference families are the banded ones."""
     degraded = json.loads(json.dumps(report))
     for key in degraded["speedups"]:
-        if ":parallel" in key or ":prune" in key:
+        if ":prune" in key:
             degraded["speedups"][key] *= 0.01
     assert check_bench(degraded, report) == []
 

@@ -16,8 +16,8 @@ importable); this file owns everything about the *boundary*:
   over profiles with hundreds of segments, where budgets cut chains
   partway through;
 - every engine rejects a problem whose ``runtimes`` lacks a job;
-- the parallel engine's shards ride the kernel transparently and pick
-  the pure-python ``_ShardRun`` whenever blackboard sharing is in play;
+- ``make_policy`` defaults to the compiled engine when it is built and
+  honours the ``REPRO_PURE_PYTHON=1`` opt-out;
 - the ``CHAIN_VECTOR_MIN`` crossover override (env + live retune) never
   changes results, only which fold path runs.
 """
@@ -29,17 +29,13 @@ import dataclasses
 import pytest
 
 from repro.core import ckernel, deltascore
-from repro.core.ckernel import (
-    _kernel_eligible,
-    compiled_shard_run,
-    have_compiled,
-)
+from repro.core.ckernel import _kernel_eligible, default_engine, have_compiled
 from repro.core.criteria import (
     CriteriaEvaluator,
     DecisionContext,
     paper_objective,
 )
-from repro.core.objective import ScheduleScore
+from repro.core.scheduler import make_policy
 from repro.core.search import DiscrepancySearch, resolve_runtimes
 from repro.util.rng import RngStream
 from repro.util.sanitize import sanitized
@@ -88,6 +84,20 @@ def test_compiled_engine_without_extension_falls_back_silently(monkeypatch):
 
 def test_probe_matches_impl_presence():
     assert have_compiled() == (ckernel._impl is not None)
+
+
+def test_make_policy_defaults_to_install_engine():
+    policy = make_policy("dds", "lxf", node_limit=500)
+    # The default is install-dependent: the compiled kernel when built
+    # (bit-identical, faster), the pure fast engine otherwise.
+    assert policy.searcher.engine == default_engine()
+    assert policy.searcher.engine in ("fast", "compiled")
+
+
+def test_make_policy_honours_pure_python_opt_out(monkeypatch):
+    monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
+    assert default_engine() == "fast"
+    assert make_policy("dds", "lxf", node_limit=500).searcher.engine == "fast"
 
 
 @needs_kernel
@@ -294,130 +304,6 @@ def test_long_profile_identity(n_jobs, algorithm, heuristic, node_limit, prune):
     if not prune:
         # Every budget above lands mid-tree, most of them mid-chain.
         assert compiled.limit_hit
-
-
-@needs_kernel
-@pytest.mark.parametrize("n_jobs", [120, 240])
-@pytest.mark.parametrize(
-    "algorithm,heuristic,iteration,path,counted",
-    [
-        ("dds", "lxf", 3, (2,), 1),
-        ("dds", "lxf", 2, (0, 5), 1),
-        ("lds", "fcfs", 2, (1, 0), 2),
-        ("lds", "fcfs", 3, (0, 2, 1), 1),
-    ],
-)
-@pytest.mark.parametrize("budget", [90, 1_000])
-@pytest.mark.parametrize("prune", [False, True])
-def test_long_profile_shard_identity(
-    n_jobs, algorithm, heuristic, iteration, path, counted, budget, prune
-):
-    """``run_shard`` on the kernel against the pure ``_ShardRun``: path
-    replay on a long profile, then a budget that stops mid-subtree."""
-    from repro.core.parallel_search import _ShardRun
-
-    problem = _long_problem(n_jobs, heuristic)
-    incumbent = _search("fast", problem, algorithm, 1).best_score
-    with sanitized(False):
-        compiled = compiled_shard_run(
-            problem, algorithm, budget, prune, True, incumbent
-        )
-        assert compiled is not None
-        compiled.run_shard(iteration, path, counted)
-        pure = _ShardRun(problem, algorithm, budget, prune, True, incumbent)
-        pure.run_shard(iteration, path, counted)
-
-    def outcome(run):
-        return (
-            tuple(job.job_id for job in run.best_order),
-            tuple(sorted(run.best_starts.items())),
-            run.best_score,
-            run.nodes_visited,
-            run.leaves_evaluated,
-            run.limit_hit,
-            tuple(run.anytime),
-        )
-
-    assert outcome(compiled) == outcome(pure)
-
-
-# ----------------------------------------------------------------------
-# Parallel ride-through
-# ----------------------------------------------------------------------
-@needs_kernel
-def test_parallel_shards_ride_the_kernel():
-    """``_make_shard_run`` hands eligible no-blackboard shards to the
-    compiled runner and everything else to the pure ``_ShardRun``."""
-    from repro.core.parallel_search import _make_shard_run, _ShardRun
-
-    problem = build_problem("lxf")
-    incumbent = ScheduleScore(1.0, 2.0, 30)
-    with sanitized(False):
-        run = _make_shard_run(
-            problem, "dds", 100, False, False, incumbent, None, None
-        )
-        assert isinstance(run, ckernel._CompiledShardRun)
-        shared = _make_shard_run(
-            problem, "dds", 100, True, False, incumbent,
-            lambda: None, lambda _s: None,
-        )
-        assert isinstance(shared, _ShardRun)
-    with sanitized(True):
-        # Sanitized runs need the pure profile's per-mutation checks.
-        checked = _make_shard_run(
-            problem, "dds", 100, False, False, incumbent, None, None
-        )
-        assert isinstance(checked, _ShardRun)
-
-
-@needs_kernel
-def test_parallel_engine_identity_with_and_without_kernel(monkeypatch):
-    """The merged parallel result is invariant to whether shards ran in C
-    — prune on and off, truncating budget."""
-    problem = build_problem("fcfs")
-    for prune in (False, True):
-        with_kernel = _search(
-            "parallel", problem, "lds", 800,
-            prune=prune, record_anytime=True, search_workers=1,
-        )
-        monkeypatch.setattr(ckernel, "_impl", None)
-        without = _search(
-            "parallel", problem, "lds", 800,
-            prune=prune, record_anytime=True, search_workers=1,
-        )
-        monkeypatch.undo()
-        assert fingerprint(with_kernel) == fingerprint(without)
-
-
-@needs_kernel
-def test_shard_seeding_reports_improvement_only():
-    """A shard seeded with an unbeatable incumbent reports no order (the
-    merge's "nothing better here"); a beatable one reports the strict
-    improvement it found."""
-    problem = SMALL.to_problem()
-    with sanitized(False):
-        unbeatable = ScheduleScore(0.0, 0.0, 4)
-        run = compiled_shard_run(problem, "dds", None, False, False, unbeatable)
-        assert run is not None
-        run.run_shard(1, (1,), 1)
-        assert run.best_order == ()
-        assert run.best_score == unbeatable
-
-        beatable = ScheduleScore(1e18, 1e18, 4)
-        run2 = compiled_shard_run(problem, "dds", None, False, False, beatable)
-        assert run2 is not None
-        run2.run_shard(1, (1,), 1)
-        assert run2.best_order
-        assert run2.best_score < beatable
-
-
-def test_non_two_level_incumbent_stays_pure_python():
-    """MultiScore incumbents (custom criteria) never enter the kernel."""
-    from repro.core.criteria import MultiScore
-
-    problem = SMALL.to_problem()
-    incumbent = MultiScore(levels=(1.0, 2.0), n_jobs=4)
-    assert compiled_shard_run(problem, "dds", 10, False, False, incumbent) is None
 
 
 # ----------------------------------------------------------------------

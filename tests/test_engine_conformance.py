@@ -9,7 +9,7 @@ them may ever report a score better than the exact solver's provable
 optimum; with no node budget they must attain it exactly.
 
 The fixed-problem and full-replay differential tests live in
-``test_search_fastpath.py`` / ``test_parallel_search.py``; the exact
+``test_search_fastpath.py`` / ``test_compiled_kernel.py``; the exact
 solver's own certificate lives in ``test_exact.py``.  This file is the
 random-instance sweep tying them together.
 """
@@ -44,17 +44,14 @@ FUZZ = settings(
 def test_engines_bit_identical_on_random_instances(
     spec: InstanceSpec, algorithm: str, node_limit: int | None
 ):
-    """fast == reference == parallel on arbitrary instances — at a budget
+    """fast == reference == compiled on arbitrary instances — at a budget
     that truncates mid-iteration, a roomier one, and exhaustively.
     ``min_jobs=0`` keeps the empty decision point in the fuzzed domain
     (every engine must normalise it through the ordinary leaf path, not a
     bespoke early return), and ``record_anytime=True`` extends identity to
-    the improvement trace.  ``search_workers=1`` keeps the parallel
-    engine on its in-process sharding path (the pool protocol itself is
-    replay-tested elsewhere); determinism demands worker-count
-    invariance, so one worker speaks for all.  The compiled kernel
-    participates whenever its extension is importable
-    (``CONFORMANCE_ENGINES`` resolves that once for the suite)."""
+    the improvement trace.  The compiled kernel participates whenever its
+    extension is importable (``CONFORMANCE_ENGINES`` resolves that once
+    for the suite)."""
     problem = spec.to_problem()
     prints = {
         engine: fingerprint(
@@ -62,7 +59,6 @@ def test_engines_bit_identical_on_random_instances(
                 algorithm,
                 node_limit=node_limit,
                 engine=engine,
-                search_workers=1,
                 record_anytime=True,
             ).search(problem)
         )

@@ -3,9 +3,9 @@
 This is the acceptance suite of the fault-tolerance layer
 (``docs/robustness.md``): with a seeded :class:`FaultPlan` killing pool
 workers, failing result transport, refusing pool spawns, and corrupting
-run-cache entries, every ``PolicyRun`` and every ``SearchResult`` must
-come out **bit-identical** to its fault-free twin — recovery may cost
-wall time, never correctness.  Cache corruption must additionally be
+run-cache entries, every ``PolicyRun`` and every decision of the
+service's degradation ladder must come out **bit-identical** to its
+fault-free twin — recovery may cost wall time, never correctness.  Cache corruption must additionally be
 *quarantined*: logged with a reason, moved aside, counted, and never
 served as a hit.
 """
@@ -16,12 +16,15 @@ import json
 
 import pytest
 
-from repro.core.search import DiscrepancySearch, SearchResult
-from repro.experiments.bench import build_problem
+from repro.core.scheduler import make_policy
 from repro.experiments.cache import QUARANTINE_DIR, RunCache
 from repro.experiments.parallel import PolicySpec, RunSpec, WorkloadSpec, run_grid
+from repro.service.executor import FULL_MODES, DecisionLadder, LadderConfig
+from repro.service.tenant import TenantEngine
 from repro.util import workerpool
 from repro.util.faults import FaultPlan, faults_suppressed, injected_faults
+from repro.workloads.synthetic import generate_month
+from tests.test_service_tenant import _grouped_requests
 
 WORKLOADS = [
     WorkloadSpec("2003-06", seed=11, scale=0.03),
@@ -32,19 +35,6 @@ POLICIES = [
     PolicySpec("dds/lxf/dynB", node_limit=64),
 ]
 GRID = [RunSpec(w, p) for w in WORKLOADS for p in POLICIES]
-
-
-def _fingerprint(result: SearchResult) -> tuple:
-    return (
-        tuple(j.job_id for j in result.best_order),
-        tuple(sorted(result.best_starts.items())),
-        result.best_score,
-        result.nodes_visited,
-        result.leaves_evaluated,
-        result.iterations_started,
-        result.limit_hit,
-        result.improved_after_first,
-    )
 
 
 def grid_signatures(outcome) -> list[tuple]:
@@ -72,63 +62,75 @@ def _fresh_pools():
 
 
 # ----------------------------------------------------------------------
-# Worker-pool faults: the parallel search engine
+# Worker-pool faults: the decision service's pool rung
 # ----------------------------------------------------------------------
-def test_search_identical_with_worker_crash_every_dispatch():
+def _ladder_decisions(pool_workers: int = 2) -> list:
+    """Every decision of a small trace, answered by a ladder whose pool
+    rung offloads DDS/lxf to ``pool_workers`` worker processes."""
+    workload = generate_month("2003-07", seed=2005, scale=0.02)
+    policy = make_policy("dds", "lxf", node_limit=200)
+    ladder = DecisionLadder(policy, LadderConfig(pool_workers=pool_workers))
+    engine = TenantEngine(
+        "chaos", policy, cluster_config=workload.cluster, window=workload.window
+    )
+    decisions = []
+    for request in _grouped_requests("chaos", workload.fresh_jobs()):
+        decisions.extend(engine.handle(request, decide=ladder.decide))
+    return decisions
+
+
+@pytest.fixture(scope="module")
+def clean_ladder():
+    with faults_suppressed():
+        decisions = _ladder_decisions()
+    workerpool.shutdown_all()
+    assert decisions and all(d.mode == "search:pool" for d in decisions)
+    return decisions
+
+
+def _assert_ladder_unchanged(chaotic, clean) -> None:
+    assert [d.started for d in chaotic] == [d.started for d in clean]
+    assert all(d.mode in FULL_MODES and not d.degraded for d in chaotic)
+
+
+def test_pool_rung_answers_like_inline_under_the_ambient_plan(clean_ladder):
+    """The pool rung decides exactly what the inline policy decides.  No
+    plan is injected here, so under the chaos CI job's ambient
+    ``REPRO_FAULTS`` the ``worker.crash``/``worker.result`` sites hit
+    this real pool — and the decisions still may not change."""
+    with faults_suppressed():
+        inline = _ladder_decisions(pool_workers=0)
+    assert all(d.mode == "search" for d in inline)
+    assert [d.started for d in inline] == [d.started for d in clean_ladder]
+    _assert_ladder_unchanged(_ladder_decisions(), clean_ladder)
+
+
+def test_ladder_identical_with_worker_crash_every_dispatch(clean_ladder):
     """Kill a real pool worker before every dispatch (until the respawn
-    budget runs dry and the engine goes inline): bit-identical results."""
-    problem = build_problem("lxf", n_jobs=30)
-    clean = DiscrepancySearch("dds", node_limit=2000, engine="fast").search(problem)
+    budget runs dry and the ladder answers inline): same decisions, and
+    every one still a full, undegraded search."""
     with injected_faults(FaultPlan.parse("seed=5,worker.crash=1.0")) as injector:
-        chaotic = DiscrepancySearch(
-            "dds", node_limit=2000, engine="parallel", search_workers=2
-        ).search(problem)
+        chaotic = _ladder_decisions()
     assert injector.fired["worker.crash"] >= 1
-    assert _fingerprint(chaotic) == _fingerprint(clean)
+    _assert_ladder_unchanged(chaotic, clean_ladder)
 
 
-def test_search_identical_with_transport_faults():
-    problem = build_problem("fcfs", n_jobs=30)
-    clean = DiscrepancySearch("lds", node_limit=2000, engine="fast").search(problem)
+def test_ladder_identical_with_transport_faults(clean_ladder):
     with injected_faults(FaultPlan.parse("seed=5,worker.result=0.5")) as injector:
-        chaotic = DiscrepancySearch(
-            "lds", node_limit=2000, engine="parallel", search_workers=2
-        ).search(problem)
+        chaotic = _ladder_decisions()
     assert injector.checked["worker.result"] >= 1
-    assert _fingerprint(chaotic) == _fingerprint(clean)
+    _assert_ladder_unchanged(chaotic, clean_ladder)
 
 
-def test_search_identical_when_pool_cannot_spawn():
+def test_ladder_identical_when_pool_cannot_spawn(clean_ladder):
     """worker.spawn always failing exhausts the respawn budget and lands
-    on the permanent inline fallback — still bit-identical."""
-    problem = build_problem("lxf", n_jobs=30)
-    clean = DiscrepancySearch("dds", node_limit=2000, engine="fast").search(problem)
+    on the permanent inline fallback — still the same decisions."""
     with injected_faults(FaultPlan.parse("seed=5,worker.spawn=1.0")) as injector:
-        chaotic = DiscrepancySearch(
-            "dds", node_limit=2000, engine="parallel", search_workers=2
-        ).search(problem)
+        chaotic = _ladder_decisions()
     assert injector.fired["worker.spawn"] >= 1
     pool = workerpool.get_pool(2)
     assert pool.failed and pool.respawns_used == pool.max_respawns
-    assert _fingerprint(chaotic) == _fingerprint(clean)
-
-
-@pytest.mark.tier2
-def test_simulation_grid_identical_under_worker_chaos():
-    """A full workload simulation through the parallel-search policy under
-    crash + transport faults matches the fault-free run — the ISSUE's
-    "kill at least one worker per decision batch" acceptance clause."""
-    grid = [
-        RunSpec(w, PolicySpec("dds/lxf/dynB", node_limit=64, search_workers=2))
-        for w in WORKLOADS
-    ]
-    clean = run_grid(grid, max_workers=1)
-    plan = FaultPlan.parse("seed=9,worker.crash=0.3/4,worker.result=0.2/3")
-    with injected_faults(plan) as injector:
-        workerpool.shutdown_all()  # fresh pools so crashes hit this grid
-        chaotic = run_grid(grid, max_workers=1)
-    assert injector.checked["worker.crash"] >= 1
-    assert grid_signatures(chaotic) == grid_signatures(clean)
+    _assert_ladder_unchanged(chaotic, clean_ladder)
 
 
 # ----------------------------------------------------------------------
@@ -207,26 +209,22 @@ def test_hand_corrupted_entry_never_crashes_or_hits(tmp_path):
 # ----------------------------------------------------------------------
 @pytest.mark.tier2
 def test_acceptance_combined_fault_plan(tmp_path):
-    """One plan killing workers *and* corrupting cache entries across a
-    grid: results bit-identical, corruption quarantined, no crash."""
+    """One plan corrupting cache entries across a grid: results
+    bit-identical, corruption quarantined, no crash."""
     grid = [
         RunSpec(w, p)
         for w in WORKLOADS
         for p in (
             PolicySpec("fcfs-bf", node_limit=0),
-            PolicySpec("dds/lxf/dynB", node_limit=64, search_workers=2),
+            PolicySpec("dds/lxf/dynB", node_limit=64),
         )
     ]
     clean = run_grid(grid, max_workers=1)
     cache = RunCache(tmp_path / "cache")
-    plan = FaultPlan.parse(
-        "seed=2005,worker.crash=1.0/2,worker.result=0.25/2,cache.write=0.5"
-    )
+    plan = FaultPlan.parse("seed=2005,cache.write=0.5")
     with injected_faults(plan) as injector:
-        workerpool.shutdown_all()  # fresh pools so the crashes hit this grid
         first = run_grid(grid, max_workers=1, cache=cache)
         warm = run_grid(grid, max_workers=1, cache=cache)
-    assert injector.fired["worker.crash"] >= 1
     assert injector.fired["cache.write"] >= 1
     assert grid_signatures(first) == grid_signatures(clean)
     assert grid_signatures(warm) == grid_signatures(clean)

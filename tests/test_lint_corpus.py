@@ -21,7 +21,7 @@ _HEADER_RE = re.compile(r"#\s*lint-corpus:\s*rules=([A-Z0-9,]+)")
 _EXPECT_RE = re.compile(r"#\s*expect:\s*([A-Z0-9,]+)")
 
 #: Rules that must have fixture coverage (positives AND negatives).
-FLOW_RULES = ("SIM006", "SIM007", "SIM008", "SIM009", "SIM010")
+FLOW_RULES = ("SIM006", "SIM007", "SIM008", "SIM010")
 
 
 def corpus_files() -> list[Path]:

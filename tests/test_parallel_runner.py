@@ -18,7 +18,6 @@ from repro.experiments.parallel import (
     RunSpec,
     WorkloadSpec,
     cache_key,
-    clamp_run_workers,
     configure,
     resolve_workers,
     run_all,
@@ -213,35 +212,3 @@ def test_resolve_workers():
     assert resolve_workers(3) == 3
     assert resolve_workers(0) >= 1
     assert resolve_workers(-1) == resolve_workers(0)
-
-
-def test_clamp_run_workers():
-    """Nested parallelism must not oversubscribe: run-level workers times
-    search-level workers stays within the core count, with a floor of one
-    run worker so grids always make progress."""
-    # Either level serial -> no clamping at all.
-    assert clamp_run_workers(8, 1, cores=4) == 8
-    assert clamp_run_workers(1, 8, cores=4) == 1
-    assert clamp_run_workers(0, 8, cores=4) == 1
-    # Both parallel -> product bounded by the core count.
-    assert clamp_run_workers(8, 2, cores=8) == 4
-    assert clamp_run_workers(8, 4, cores=8) == 2
-    assert clamp_run_workers(2, 4, cores=8) == 2  # already within budget
-    # Search workers alone exceed the machine -> floor at one run worker.
-    assert clamp_run_workers(8, 16, cores=8) == 1
-    # cores=None resolves the real affinity-aware count and stays positive.
-    assert clamp_run_workers(4, 2) >= 1
-
-
-def test_run_grid_clamps_for_search_parallel_policies():
-    """A grid whose policies search in parallel reports a clamped worker
-    count in its outcome rather than oversubscribing the machine."""
-    specs = [
-        RunSpec(
-            WorkloadSpec("2003-06", seed=11, scale=0.02),
-            PolicySpec("dds/lxf/dynB", node_limit=64, search_workers=4),
-        )
-    ]
-    outcome = run_grid(specs, max_workers=8)
-    assert outcome.workers == clamp_run_workers(8, 4)
-    assert not outcome.errors

@@ -85,7 +85,6 @@ def test_fault_free_replay_is_bit_identical_to_batch_run():
             DecisionRequest(tenant="replay", now=batch.sim_end_time + 1.0)
         )
     )
-    engine.close()
 
     assert len(decisions) == batch.decision_count
     assert all(d.mode == PRIMARY_MODE and not d.degraded for d in decisions)

@@ -199,8 +199,8 @@ def test_findings_carry_location():
 
 
 def test_rule_registry_consistent():
-    assert len(RULES) == 10
-    expected = {f"SIM00{i}" for i in range(1, 10)} | {"SIM010"}
+    assert len(RULES) == 9
+    expected = {f"SIM00{i}" for i in range(1, 9)} | {"SIM010"}
     assert set(RULES_BY_ID) == expected
 
 
